@@ -1,7 +1,9 @@
 """List the k best solutions instead of a single optimum.
 
-The circuit is normalized to a smooth form with binary conjunctions and a
-top-k list is merged upward per node.  Run with: python demos/04_top_k.py
+One bottom-up pass over the compiled circuit keeps the k best models of
+each node: And nodes combine their children's lists, Or nodes merge them
+after completing each child over the variables it does not mention.  Run
+with: python demos/04_top_k.py
 """
 
 from nnfopt import (brute_force, compile_formula, encode_basic, parse_instance,

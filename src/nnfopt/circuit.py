@@ -83,7 +83,8 @@ class NnfCircuit:
                 if node[1] not in self._universe:
                     raise ValueError(f"literal over undeclared variable {node[1]}")
             elif kind in (AND, OR):
-                if any(not (0 <= ch < nid) for ch in node[1]):
+                kids = node[1]
+                if kids and (min(kids) < 0 or max(kids) >= nid):
                     raise ValueError("children must precede their parent")
             elif kind not in (FALSE, TRUE):
                 raise ValueError(f"unknown node kind {kind}")
@@ -189,6 +190,9 @@ class NnfCircuit:
 
     @cached_property
     def edge_count(self) -> int:
+        if "columns" not in self.__dict__:
+            # a circuit built from records has no literal blocks
+            return sum(len(node[1]) for node in self.nodes if node[0] in (AND, OR))
         kinds, kids, pos, neg = self.columns
         count = sum(map(len, kids))
         for kind, a, b in zip(kinds, pos, neg):
@@ -228,15 +232,19 @@ class NnfCircuit:
         return tuple(sets)
 
     def reachable_from_output(self) -> list:
-        seen = {self.output}
-        stack = [self.output]
-        while stack:
-            nid = stack.pop()
-            for ch in self.children(nid):
-                if ch not in seen:
-                    seen.add(ch)
-                    stack.append(ch)
-        return sorted(seen)
+        """Ids of the nodes the output reaches, ascending; computed once."""
+        got = self.__dict__.get("_reachable")
+        if got is None:
+            seen = {self.output}
+            stack = [self.output]
+            while stack:
+                nid = stack.pop()
+                for ch in self.children(nid):
+                    if ch not in seen:
+                        seen.add(ch)
+                        stack.append(ch)
+            got = self._reachable = sorted(seen)
+        return got
 
     def literal_nodes(self) -> dict:
         """Map (variable, sign) -> list of node ids carrying that literal."""
@@ -355,8 +363,12 @@ def check_structure(c: NnfCircuit) -> StructureReport:
 
     One pass over variable masks; fixed values are tracked as two masks
     over the decision variables, and a child's masks are dropped once its
-    last parent has read them.
+    last parent has read them.  Circuits are immutable, so the report is
+    computed on the first call for a circuit and kept on it.
     """
+    rep = c.__dict__.get("_structure")
+    if rep is not None:
+        return rep
     kinds, kids, pos, neg = c.columns
     bit = c.bit_index
     # Or marker (by identity) -> its variable's bit (0 outside the universe),
@@ -428,7 +440,8 @@ def check_structure(c: NnfCircuit) -> StructureReport:
                 if not refs[ch]:
                     vm[ch] = f1[ch] = f0[ch] = 0
             vm[nid], f1[nid], f0[nid] = m, x1, x0
-    return StructureReport(decomposable, deterministic, smooth)
+    c._structure = StructureReport(decomposable, deterministic, smooth)
+    return c._structure
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +605,8 @@ def pad_to_universe(c: NnfCircuit) -> NnfCircuit:
 def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
     """Smooth circuit covering the full universe with binary And nodes.
 
-    This is the normal form the counting and top-k procedures run on.
+    This is the normal form the cardinality and knapsack transforms copy
+    node by node.
     """
     return binarize_and(pad_to_universe(smooth(c)))
 
@@ -617,12 +631,9 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     if kind == FALSE:
         fresh = CircuitBuilder(padded.variables)
         return fresh.finish(fresh.add_or((), None))
+    # rebuilding from the output leaves an Or output without parents
     if kind != OR:
         root = b.add_or((root,), None)
-    else:
-        # the output Or must have no parents; rebuilding from the output
-        # guarantees it, so only re-wrap when it gained none anyway
-        pass
     return b.finish(root)
 
 

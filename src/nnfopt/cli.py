@@ -19,7 +19,7 @@ from .cnf import CnfFormula, CnfVariable, encode_basic, encode_ordered, \
     formula_incidence_graph, instance_variables
 from .compiler import CompileConfig, compile_formula, order_from_beta, \
     order_from_decomposition
-from .extform import build_system, to_lp_text
+from .extform import build_system, decimal_places, to_lp_text
 from .hypergraph import LiteralInstance, beta_elimination_order, \
     minfill_decomposition
 from .instances import GuardViolation, ParseError, ParsedInstance, brute_force, \
@@ -161,6 +161,11 @@ def _cmd_compile(args) -> int:
 def _cmd_extform(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
+    if not args.scale_objective:
+        for p in inst.profit:
+            if decimal_places(p) is None:
+                raise ParseError(f"profit {p} has no exact decimal form; "
+                                 "pass --scale-objective to clear denominators")
     circuit = normalize_for_extform(_compile_parsed(parsed, args.encoding))
     system = build_system(circuit, include_x=True)
     objective = {}

@@ -74,23 +74,25 @@ def build_system(c: NnfCircuit, include_x: bool = False) -> LinearSystem:
     rows: list[Row] = []
     ecols = [("y", eid) for eid in range(c.edge_count)]
     columns = list(ecols)
-    names = {("y", eid): f"y{eid}" for eid in range(c.edge_count)}
+    names = {col: f"y{eid}" for eid, col in enumerate(ecols)}
+    # every row shares these (column, coefficient) pairs
+    plus = [(col, 1) for col in ecols]
+    minus = [(col, -1) for col in ecols]
 
-    out_row = tuple((("y", eid), 1) for eid in c.in_edges(c.output))
+    out_row = tuple(plus[eid] for eid in c.in_edges(c.output))
     rows.append(Row(("out",), out_row, "=", 1))
     for nid, node in enumerate(c.nodes):
         kind = node[0]
         if kind == OR and nid != c.output:
-            coeffs = [(("y", eid), 1) for eid in c.in_edges(nid)]
-            coeffs += [(("y", eid), -1) for eid in c.out_edges(nid)]
+            coeffs = [plus[eid] for eid in c.in_edges(nid)]
+            coeffs += [minus[eid] for eid in c.out_edges(nid)]
             rows.append(Row(("or", nid), tuple(coeffs), "=", 0))
         elif kind == AND:
-            outs = [(("y", eid), -1) for eid in c.out_edges(nid)]
+            outs = tuple(minus[eid] for eid in c.out_edges(nid))
             for eid in c.in_edges(nid):
-                rows.append(Row(("and", nid, eid),
-                                ((("y", eid), 1),) + tuple(outs), "=", 0))
+                rows.append(Row(("and", nid, eid), (plus[eid],) + outs, "=", 0))
     for eid in range(c.edge_count):
-        rows.append(Row(("nonneg", eid), ((("y", eid), 1),), ">=", 0))
+        rows.append(Row(("nonneg", eid), (plus[eid],), ">=", 0))
 
     if include_x:
         lits = c.literal_nodes()
@@ -222,25 +224,24 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
     if not c.in_edges(c.output):
         raise ValueError("unsatisfiable circuit: the primal system is infeasible")
 
-    def base(nid: int, z: dict):
-        node = c.nodes[nid]
-        if node[0] == OR:
-            return z[("or", nid)]
-        if node[0] == AND:
-            return sum(z[("and", nid, eid)] for eid in c.in_edges(nid))
-        return 0
-
+    edges = c.edge_list
     z: dict = {}
+    base: list = []     # per gate: its Or variable, or the sum of its And variables
     for nid, node in enumerate(c.nodes):
         kind = node[0]
         if kind == AND:
+            acc = 0
             for eid in c.in_edges(nid):
-                ch, _ = c.edge_list[eid]
-                z[("and", nid, eid)] = cost.get(eid, 0) + base(ch, z)
+                z[("and", nid, eid)] = got = cost.get(eid, 0) + base[edges[eid][0]]
+                acc += got
+            base.append(acc)
         elif kind == OR and node[1]:
-            z[("or", nid)] = max(
-                cost.get(eid, 0) + base(c.edge_list[eid][0], z)
-                for eid in c.in_edges(nid))
+            z[("or", nid)] = got = max(cost.get(eid, 0) + base[edges[eid][0]]
+                                       for eid in c.in_edges(nid))
+            base.append(got)
+        else:
+            # a childless Or has no dual variable for a parent to read
+            base.append(None if kind == OR else 0)
     return z[("or", c.output)], z
 
 
@@ -351,7 +352,8 @@ def tu_counterexample_check() -> int:
         d = dict(row.coeffs)
         matrix.append([d.get(col, 0) for col in col_order])
     det = _determinant(matrix)
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise RuntimeError(f"determinant of an integer matrix came out as {det}")
     return int(det)
 
 
@@ -359,12 +361,10 @@ def tu_counterexample_check() -> int:
 # LP export
 
 
-def _lp_number(value) -> str:
-    """Exact plain-decimal rendering; rejects fractions that have none."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    den = f.denominator
+def decimal_places(value) -> Optional[int]:
+    """Digits after the point in the exact decimal form of a rational, or
+    None when it has no finite one."""
+    den = Fraction(value).denominator
     twos = fives = 0
     while den % 2 == 0:
         den //= 2
@@ -372,10 +372,18 @@ def _lp_number(value) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
+    return max(twos, fives) if den == 1 else None
+
+
+def _lp_number(value) -> str:
+    """Exact plain-decimal rendering; rejects fractions that have none."""
+    f = Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    digits = decimal_places(f)
+    if digits is None:
         raise ValueError(
             f"{f} has no exact decimal form; scale the objective to integers")
-    digits = max(twos, fives)
     scaled = f * 10 ** digits
     text = str(scaled.numerator).rjust(digits + 1, "0")
     sign = "-" if text.startswith("-") else ""

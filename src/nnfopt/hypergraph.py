@@ -36,9 +36,6 @@ class Graph:
     def has_node(self, n) -> bool:
         return n in self._adj
 
-    def has_edge(self, u, v) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def neighbors(self, n) -> tuple:
         return tuple(sorted(self._adj[n]))
 
@@ -64,11 +61,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj.values()) // 2
-
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = {n: set(s) for n, s in self._adj.items()}
-        return g
 
 
 class Hypergraph:
@@ -100,9 +92,6 @@ class Hypergraph:
     def edge_vertices(self, i: int) -> tuple:
         """Vertices of edge i in declared vertex order."""
         return tuple(sorted(self.edges[i], key=self._vpos.__getitem__))
-
-    def edges_containing(self, v) -> list:
-        return [i for i, e in enumerate(self.edges) if v in e]
 
 
 @dataclass(frozen=True)
@@ -165,9 +154,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(s) for s in self.bags.values()), default=0) - 1
 
-    def bags_with(self, v) -> list[int]:
-        return sorted(b for b, s in self.bags.items() if v in s)
-
     def _is_tree(self) -> bool:
         if not self.bags:
             return False
@@ -215,13 +201,6 @@ class TreeDecomposition:
         for v in graph.nodes:
             if not self.check_connected(v):
                 raise ValueError(f"bags containing {v} are not connected")
-
-    def is_valid_for(self, graph: Graph) -> bool:
-        try:
-            self.validate(graph)
-        except ValueError:
-            return False
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Weights live in the semiring (Q with -infinity, max, +): an unsatisfiable
 circuit has value -infinity, satisfiable ones an exact rational optimum.
 The single-optimum query runs directly on non-smooth circuits by keeping,
 for every node, the best weight of a model of the node completed greedily
-on all remaining variables; the top-k query first normalizes the circuit
-to the smooth binary form.
+on all remaining variables.  The top-k query reads the same columnar view
+without normalizing it: it keeps the k best models of every node over the
+variables the node mentions, and pads Or children and the output with the
+k best completions of the variables they miss.  Both passes run in scaled
+integers and make rationals only for the answers they return.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .circuit import (AND, FALSE, LIT, OR, TRUE, NnfCircuit, check_structure,
-                      evaluate, mask_bits, smooth_binary_form)
+from .circuit import (AND, LIT, OR, TRUE, NnfCircuit, check_structure, evaluate,
+                      mask_bits)
 from .cnf import CnfVariable, instance_variables
 from .hypergraph import LiteralInstance
 
@@ -83,13 +87,15 @@ def _require_opt_structure(c: NnfCircuit) -> None:
 
 
 def _regret_planes(c: NnfCircuit, w: WeightFunction):
-    """Integer weights for the optimum pass, exact after one division.
+    """Integer weights for the optimum and top-k passes, exact after one
+    division.
 
     Weights are scaled by the lcm of their denominators.  A literal's
     regret is what it costs against its variable's better bit (slack); a
     literal block's regret is summed plane by plane, as 2^j times the
     number of its literals whose regret has bit j.  Returns (scale, scaled
-    total slack, planes of positive literals, planes of negative ones).
+    total slack, regrets of positive and of negative literals by bit
+    position, planes of positive literals, planes of negative ones).
     """
     scale = 1
     for var in c.variables:
@@ -115,7 +121,19 @@ def _regret_planes(c: NnfCircuit, w: WeightFunction):
                 out.append((j, mask))
         return tuple(out)
 
-    return scale, total, planes(r1), planes(r0)
+    return scale, total, r1, r0, planes(r1), planes(r0)
+
+
+def _block_regret(a: int, b: int, planes1, planes0) -> int:
+    """Scaled regret of the literal block with positive mask a, negative b."""
+    acc = 0
+    if a:
+        for j, mask in planes1:
+            acc += (a & mask).bit_count() << j
+    if b:
+        for j, mask in planes0:
+            acc += (b & mask).bit_count() << j
+    return acc
 
 
 def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
@@ -132,7 +150,7 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
     if set(w.universe) != set(c.variables):
         raise ValueError("weight universe must match the circuit universe")
     _require_opt_structure(c)
-    scale, total, planes1, planes0 = _regret_planes(c, w)
+    scale, total, _, _, planes1, planes0 = _regret_planes(c, w)
     kinds, kids, pos, neg = c.columns
 
     m: list = []        # scaled m(v); None stands for -infinity
@@ -145,13 +163,8 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
                     acc = None
                     break
                 acc += x
-            if acc is not None:
-                if a:
-                    for j, mask in planes1:
-                        acc -= (a & mask).bit_count() << j
-                if b:
-                    for j, mask in planes0:
-                        acc -= (b & mask).bit_count() << j
+            if acc is not None and (a or b):
+                acc -= _block_regret(a, b, planes1, planes0)
             m.append(acc)
         elif kind == OR:
             best = None
@@ -209,81 +222,106 @@ def project_solution(tau: Mapping, inst: LiteralInstance) -> dict:
     return {v: int(tau[CnfVariable("x", v)]) for v in h.vertices}
 
 
+def _kbest_product(la: list, lb: list, k: int) -> list:
+    """The k smallest combined entries of two ascending entry lists over
+    disjoint variables.
+
+    An entry is (regret, ones mask); combining adds the regrets and ors
+    the masks, which is monotone in each argument, so a heap over the grid
+    of index pairs yields the combinations in ascending order.  Each pair
+    is reached once: (i, j+1) always, (i+1, j) from column 0 only.
+    """
+    if not la or not lb:
+        return []
+    if len(lb) == 1:
+        rb, mb = lb[0]
+        return [(ra + rb, ma | mb) for ra, ma in la]
+    if len(la) == 1:
+        ra, ma = la[0]
+        return [(ra + rb, ma | mb) for rb, mb in lb[:k]]
+    out = []
+    heap = [(la[0][0] + lb[0][0], la[0][1] | lb[0][1], 0, 0)]
+    while heap and len(out) < k:
+        r, m, i, j = heapq.heappop(heap)
+        out.append((r, m))
+        if j + 1 < len(lb):
+            ea, eb = la[i], lb[j + 1]
+            heapq.heappush(heap, (ea[0] + eb[0], ea[1] | eb[1], i, j + 1))
+        if j == 0 and i + 1 < len(la):
+            ea, eb = la[i + 1], lb[0]
+            heapq.heappush(heap, (ea[0] + eb[0], ea[1] | eb[1], i + 1, 0))
+    return out
+
+
 def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction]]:
     """The k best models by weight, values nonincreasing.
 
     Returns fewer than k pairs exactly when the circuit has fewer models.
-    Ties are broken toward lexicographically smaller assignments.  The
-    circuit is normalized to smooth binary form internally.
+    Ties are broken toward lexicographically smaller assignments in
+    universe order.  One bottom-up pass over the columnar view keeps, per
+    node, the k best models over the variables the node mentions, as
+    ascending (regret, ones) pairs of ints: the scaled regret against the
+    per-variable optimum (see _regret_planes) and the set bits, universe
+    position i at bit n-1-i, so that tuple order is the output order.  A
+    literal block is one constant entry, an And node takes the k best
+    products of its children, and an Or node merges its children after
+    padding each with the k best completions of the variables it misses
+    (memoized per missing-variable mask); the output is padded to the
+    whole universe.  Values and dicts are made only for the returned
+    pairs.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if set(w.universe) != set(c.variables):
         raise ValueError("weight universe must match the circuit universe")
     _require_opt_structure(c)
-    prep = smooth_binary_form(c)
-    vs = prep.var_sets
-    order = {v: i for i, v in enumerate(prep.variables)}
-    varkey = lambda nid: tuple(sorted(vs[nid], key=order.__getitem__))
-    sortkey = lambda entry: (-entry[0], entry[1])
+    scale, total, r1, r0, planes1, planes0 = _regret_planes(c, w)
+    n = len(c.variables)
+    upos = {v: i for i, v in enumerate(c.variables)}
+    ones_bit = [1 << (n - 1 - upos[v]) for v in c.bit_variables]
+    pads = {0: [(0, 0)]}
 
-    lists: list[list] = []
-    for nid, node in enumerate(prep.nodes):
-        kind = node[0]
-        if kind == FALSE:
-            lists.append([])
-        elif kind == TRUE:
-            lists.append([(Fraction(0), ())])
-        elif kind == LIT:
-            bit = 1 if node[2] else 0
-            lists.append([(w.weight(node[1], bit), (bit,))])
-        elif kind == AND:
-            kids = node[1]
-            if not kids:
-                lists.append([(Fraction(0), ())])
-                continue
-            if len(kids) == 1:
-                lists.append(list(lists[kids[0]]))
-                continue
-            la, lb = lists[kids[0]], lists[kids[1]]
-            if not la or not lb:
-                lists.append([])
-                continue
-            kv = varkey(nid)
-            pos = {v: i for i, v in enumerate(kv)}
-            ia = [pos[v] for v in varkey(kids[0])]
-            ib = [pos[v] for v in varkey(kids[1])]
+    def padding(missing: int) -> list:
+        got = pads.get(missing)
+        if got is None:
+            got = [(0, 0)]
+            for i in mask_bits(missing):
+                pair = sorted(((r0[i], 0), (r1[i], ones_bit[i])))
+                got = _kbest_product(got, pair, k)
+            pads[missing] = got
+        return got
 
-            def combine(ea, eb):
-                bits = [0] * len(kv)
-                for idx, b in zip(ia, ea[1]):
-                    bits[idx] = b
-                for idx, b in zip(ib, eb[1]):
-                    bits[idx] = b
-                return (ea[0] + eb[0], tuple(bits))
-
-            merged = []
-            seen = {(0, 0)}
-            heap = [(sortkey(combine(la[0], lb[0])), 0, 0)]
-            while heap and len(merged) < k:
-                key, i, j = heapq.heappop(heap)
-                merged.append(combine(la[i], lb[j]))
-                if i + 1 < len(la) and (i + 1, j) not in seen:
-                    seen.add((i + 1, j))
-                    heapq.heappush(heap, (sortkey(combine(la[i + 1], lb[j])), i + 1, j))
-                if j + 1 < len(lb) and (i, j + 1) not in seen:
-                    seen.add((i, j + 1))
-                    heapq.heappush(heap, (sortkey(combine(la[i], lb[j + 1])), i, j + 1))
-            lists.append(merged)
+    kinds, kids, pos, neg = c.columns
+    vm: list = []       # variables mentioned, by bit position
+    lists: list = []
+    for kind, ks, a, b in zip(kinds, kids, pos, neg):
+        if kind == AND or kind == LIT:
+            m = a | b
+            regret = _block_regret(a, b, planes1, planes0)
+            ones = 0
+            while a:        # the block's positive literals, as ones bits
+                low = a & -a
+                ones |= ones_bit[low.bit_length() - 1]
+                a ^= low
+            acc = [(regret, ones)]
+            for ch in ks:
+                m |= vm[ch]
+                acc = _kbest_product(acc, lists[ch], k)
+        elif kind == OR:
+            m = 0
+            for ch in ks:
+                m |= vm[ch]
+            acc = list(islice(heapq.merge(*(
+                _kbest_product(lists[ch], padding(m & ~vm[ch]), k) for ch in ks)), k))
         else:
-            merged = list(heapq.merge(*(lists[ch] for ch in node[1]), key=sortkey))
-            lists.append(merged[:k])
+            m = 0
+            acc = [(0, 0)] if kind == TRUE else []
+        vm.append(m)
+        lists.append(acc)
 
-    out_entries = lists[prep.output]
-    out_vars = varkey(prep.output)
-    if out_entries:
-        assert len(out_vars) == len(prep.variables), "normal form must cover the universe"
+    out = _kbest_product(lists[c.output], padding(((1 << n) - 1) & ~vm[c.output]), k)
     result = []
-    for value, bits in out_entries[:k]:
-        result.append((dict(zip(out_vars, bits)), value))
+    for r, ones in out:
+        bits = format(ones, f"0{n}b") if n else ""
+        result.append((dict(zip(c.variables, map(int, bits))), Fraction(total - r, scale)))
     return result

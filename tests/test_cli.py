@@ -133,12 +133,29 @@ class TestCard:
         assert out.splitlines()[0] == "optimum 4"
 
 
+LABS_8_3_TOP5 = """\
+value 2 point v1=0 v2=0 v3=0 v4=0 v5=1 v6=1 v7=0 v8=1
+value 2 point v1=0 v2=0 v3=0 v4=1 v5=0 v6=0 v7=0 v8=1
+value 2 point v1=0 v2=0 v3=0 v4=1 v5=0 v6=1 v7=1 v8=0
+value 2 point v1=0 v2=0 v3=0 v4=1 v5=1 v6=0 v7=1 v8=0
+value 2 point v1=0 v2=0 v3=1 v4=0 v5=0 v6=0 v7=0 v8=1
+"""
+
+
 class TestTopk:
     def test_worked_top3(self, capsys, example):
         code, out = run(capsys, "topk", "--k", "3", example)
         assert code == 0
         values = [ln.split()[1] for ln in out.splitlines()]
         assert values == ["9", "6", "4"]
+
+    def test_labs_8_3_top5_text(self, capsys):
+        # all five tie at the optimum; ties go to the smaller assignment in
+        # universe order
+        _, labs = run(capsys, "gen-labs", "8", "3")
+        code, out = run(capsys, "topk", "--k", "5", "-", stdin=labs)
+        assert code == 0
+        assert out == LABS_8_3_TOP5
 
 
 class TestCompile:
@@ -178,10 +195,26 @@ class TestExtform:
     def test_fractional_objective_needs_scaling(self, capsys, tmp_path):
         p = tmp_path / "f.poly"
         p.write_text("1/3 v1\n")
-        with pytest.raises(ValueError):
-            run(capsys, "extform", str(p))
+        code, out = run(capsys, "extform", str(p))
+        assert code == 2 and out == ""
         code, out = run(capsys, "extform", "--scale-objective", str(p))
         assert code == 0 and "scaled by 3" in out.splitlines()[0]
+
+    def test_non_decimal_profit_is_a_clean_error(self, capsys, tmp_path):
+        p = tmp_path / "f.poly"
+        p.write_text("17/3 v1 v2\n-1 v2 v3\n5/2 v3\n")
+        assert main(["extform", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: profit 17/3 has no exact decimal form; "
+            "pass --scale-objective to clear denominators"]
+        code, out = run(capsys, "extform", "--scale-objective", str(p))
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "\\ objective scaled by 6; declared sense max, constant offset 0",
+            "Maximize",
+            " obj: + 34 x4 - 6 x5 + 15 x6"]
 
 
 class TestOracle:

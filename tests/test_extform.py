@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,35 @@ class TestBuildSystem:
     def test_identity_control(self):
         ident = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
         assert _determinant(ident) == 1
+
+    def test_fractional_determinant_raises(self, monkeypatch):
+        import nnfopt.extform as ef
+        monkeypatch.setattr(ef, "_determinant", lambda matrix: Fraction(5, 2))
+        with pytest.raises(RuntimeError, match="determinant"):
+            tu_counterexample_check()
+
+    def test_checks_run_under_optimized_bytecode(self):
+        # python -O strips assert statements; these checks must not be asserts
+        script = (
+            "from fractions import Fraction\n"
+            "import nnfopt.extform as ef\n"
+            "from nnfopt import (compile_formula, encode_basic, parse_instance, top_k,\n"
+            "                    weights_from_profits)\n"
+            "print('det', ef.tu_counterexample_check())\n"
+            "inst = parse_instance('-3 v1 v2 v3\\n4 v4 v5\\n5 v2 v3 v4 v5 v6\\n').instance\n"
+            "c = compile_formula(encode_basic(inst))\n"
+            "print('top', *(v for _, v in top_k(c, weights_from_profits(inst), 3)))\n"
+            "ef._determinant = lambda matrix: Fraction(5, 2)\n"
+            "try:\n"
+            "    ef.tu_counterexample_check()\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised', exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "det 2", "top 9 6 4",
+            "raised determinant of an integer matrix came out as 5/2"]
 
     def test_coefficients_stay_unit(self):
         rng = random.Random(6)

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from corpus import (circuit_corpus, fig_ddnnf, worked_example, poly_points_sorted,
-                    random_instance)
-from nnfopt import (NEG_INF, CircuitBuilder, WeightFunction, compile_formula,
-                    encode_basic, encode_ordered, enumerate_models, evaluate,
-                    optimize, project_solution, top_k, weights_from_profits)
-from nnfopt.cnf import CnfVariable, instance_variables
+                    random_formula, random_instance)
+from nnfopt import (NEG_INF, CircuitBuilder, CompileConfig, WeightFunction,
+                    compile_formula, encode_basic, encode_ordered, enumerate_models,
+                    evaluate, optimize, project_solution, top_k, weights_from_profits)
+from nnfopt.cnf import CnfFormula, CnfVariable, instance_variables
 
 
 def x(v):
@@ -184,6 +184,131 @@ class TestTopK:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             top_k(compiled_worked(), weights_from_profits(worked_example()), 0)
+
+
+def ranked_models(c, w):
+    """The oracle order of top_k: value nonincreasing, then the assignment
+    in universe order ascending."""
+    models = enumerate_models(c, cap=100000)
+    return sorted(((m, w.value_of(m)) for m in models),
+                  key=lambda mv: (-mv[1], tuple(mv[0][v] for v in c.variables)))
+
+
+def assert_top_k_matches_oracle(c, w, ks):
+    ranked = ranked_models(c, w)
+    for k in ks:
+        got = top_k(c, w, k)
+        assert got == ranked[:k]
+        for a, _ in got:
+            assert list(a) == list(c.variables)
+    return len(ranked)
+
+
+def random_decision_dnnf(rng, universe):
+    """A random decision-DNNF, in general not smooth: Or children and
+    And parts mention random subsets of the variables left to them, so
+    variables go free below Or nodes and at the output."""
+    b = CircuitBuilder(universe)
+
+    def build(avail, depth):
+        roll = rng.random()
+        if not avail or depth == 0 or roll < 0.15:
+            leaf = rng.random()
+            if not avail or leaf < 0.17:
+                return b.true() if leaf < 0.15 else b.false()
+            return b.literal(rng.choice(avail), rng.random() < 0.5)
+        if roll < 0.45:
+            rest = list(avail)
+            rng.shuffle(rest)
+            cut = rng.randint(0, len(rest))
+            kids = [build(rest[:cut], depth - 1), build(rest[cut:], depth - 1)]
+            return b.add_and(kids)
+        d = rng.choice(avail)
+        rest = [v for v in avail if v != d]
+        branches = []
+        for sign in (True, False):
+            sub = [v for v in rest if rng.random() < 0.7]
+            branches.append(b.add_and((b.literal(d, sign), build(sub, depth - 1))))
+        rng.shuffle(branches)
+        return b.add_or(branches, d)
+
+    used = [v for v in universe if rng.random() < 0.8]
+    return b.finish(build(used, 4))
+
+
+class TestTopKOracle:
+    def test_random_nonsmooth_decision_dnnf(self):
+        rng = random.Random(41)
+        universe = tuple(f"z{i}" for i in (3, 0, 5, 1, 6, 2, 4))
+        free_or_child = free_output = 0
+        for _ in range(120):
+            c = random_decision_dnnf(rng, universe)
+            vs = c.var_sets
+            free_output += vs[c.output] != set(universe)
+            free_or_child += any(node[0] == "O" and vs[ch] != vs[nid]
+                                 for nid, node in enumerate(c.nodes)
+                                 for ch in c.children(nid))
+            table = {(v, bit): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for v in universe for bit in (0, 1)}
+            assert_top_k_matches_oracle(c, WeightFunction(universe, table), (1, 2, 5, 200))
+        assert free_output > 20 and free_or_child > 20
+
+    def test_literal_blocks_over_permuted_bit_variables(self):
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(60):
+            f = random_formula(rng)
+            hint = list(f.variables)
+            rng.shuffle(hint)
+            c = compile_formula(f, CompileConfig(order_hint=hint))
+            kinds, _, pos, neg = c.columns
+            if c.bit_variables == c.variables or not any(
+                    kind == "A" and (a or b) for kind, a, b in zip(kinds, pos, neg)):
+                continue
+            checked += 1
+            assert_top_k_matches_oracle(c, random_weights(rng, c.variables), (1, 3, 8))
+        assert checked >= 10
+
+    def test_ties_from_zero_and_repeated_weights(self):
+        rng = random.Random(47)
+        for c in circuit_corpus(rng, count=8):
+            zero = WeightFunction(c.variables, {})
+            assert_top_k_matches_oracle(c, zero, (1, 4, 9))
+            repeated = WeightFunction(
+                c.variables, {(v, bit): rng.choice((-1, 0, 0, 1))
+                              for v in c.variables for bit in (0, 1)})
+            assert_top_k_matches_oracle(c, repeated, (1, 4, 9))
+
+    def test_k_above_model_count(self):
+        rng = random.Random(53)
+        for c in circuit_corpus(rng, count=6):
+            w = random_weights(rng, c.variables)
+            n_models = len(enumerate_models(c, cap=100000))
+            assert_top_k_matches_oracle(c, w, (n_models, n_models + 1, 3 * n_models + 7))
+            assert len(top_k(c, w, n_models + 1)) == n_models
+
+    def test_unsatisfiable_circuits(self):
+        universe = (x(1), x(2))
+        w = WeightFunction(universe, {(x(1), 1): 2})
+        b = CircuitBuilder(universe)
+        lit = b.literal(x(1), True)
+        dead = b.add_and((lit, b.false()))
+        c = b.finish(b.add_or((dead,), x(1)))
+        assert top_k(c, w, 3) == []
+        f = CnfFormula(universe, [[(x(1), True), (x(2), True)], [(x(1), False)],
+                                  [(x(2), False)]])
+        compiled = compile_formula(f)
+        assert top_k(compiled, w, 3) == [] == enumerate_models(compiled)
+
+    def test_true_output_ranks_the_whole_universe(self):
+        universe = (x(2), x(1), x(3))
+        b = CircuitBuilder(universe)
+        c = b.finish(b.true())
+        w = WeightFunction(universe, {(x(1), 1): 1, (x(3), 0): 1})
+        got = top_k(c, w, 8)
+        assert got == ranked_models(c, w)
+        assert [v for _, v in got] == [2, 2, 1, 1, 1, 1, 0, 0]
+        assert got[0][0] == {x(2): 0, x(1): 1, x(3): 0}
 
 
 class TestScalingInvariance:
