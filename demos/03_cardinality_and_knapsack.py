@@ -1,7 +1,10 @@
 """Constrain solutions by how many variables are set, or by a weighted sum.
 
-The transforms copy each circuit node once per achievable count, so a
-single compiled circuit answers every constrained query.  Run with:
+The transforms copy each circuit node once per achievable count (or
+weighted sum), so a single compiled circuit answers every constrained
+query.  The copy runs on the compiled circuit as it is: constants fold on
+the way, and each block of literals implied at a decision node stays one
+node that shifts the count.  Run with:
 python demos/03_cardinality_and_knapsack.py
 """
 

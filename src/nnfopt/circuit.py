@@ -14,8 +14,9 @@ bitmasks in which an And node may hold a literal block: its literal
 children as two masks (positive and negative literals).  The compiler
 writes circuits in that form, so its output costs a few words per
 decision node; the record view expands each block into literal children
-on first use.  Structure checks, evaluation and the optimum query read
-the columnar view and never expand blocks.
+on first use.  Structure checks, evaluation, the optimum and top-k
+queries and the cardinality and knapsack transforms read the columnar
+view and never expand blocks.
 """
 
 from __future__ import annotations
@@ -605,8 +606,9 @@ def pad_to_universe(c: NnfCircuit) -> NnfCircuit:
 def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
     """Smooth circuit covering the full universe with binary And nodes.
 
-    This is the normal form the cardinality and knapsack transforms copy
-    node by node.
+    The cardinality and knapsack transforms copy a circuit as if it were
+    in this form, with the same alternatives in the same order, but on
+    the columnar view and without building it.
     """
     return binarize_and(pad_to_universe(smooth(c)))
 
@@ -700,6 +702,15 @@ def model_count(c: NnfCircuit) -> int:
     return counts[c.output] << free
 
 
+def _complete(rows: Iterable[tuple], have: tuple, fill: list):
+    """Each row as a dict over have, extended by every assignment of fill."""
+    for bits in rows:
+        stack = [dict(zip(have, bits))]
+        for v in fill:
+            stack = [{**d, v: bval} for d in stack for bval in (0, 1)]
+        yield from stack
+
+
 def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
     """All models over the universe, sorted lexicographically.
 
@@ -724,7 +735,6 @@ def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
             sets.append({(1 if node[2] else 0,)})
         elif kind == AND:
             kvars = varkey(nid)
-            pos = {v: i for i, v in enumerate(kvars)}
             acc = [dict()]
             for ch in node[1]:
                 chv = varkey(ch)
@@ -745,21 +755,10 @@ def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
                 chv = varkey(ch)
                 have = set(chv)
                 fill = [v for v in kvars if v not in have]
-                for bits in sets[ch]:
-                    base = dict(zip(chv, bits))
-                    stack = [base]
-                    for v in fill:
-                        nxt = []
-                        for d in stack:
-                            for bval in (0, 1):
-                                d2 = dict(d)
-                                d2[v] = bval
-                                nxt.append(d2)
-                        stack = nxt
-                    for d in stack:
-                        merged.add(tuple(d[v] for v in kvars))
-                        if len(merged) > cap:
-                            raise CapExceeded("model cap exceeded")
+                for d in _complete(sets[ch], chv, fill):
+                    merged.add(tuple(d[v] for v in kvars))
+                    if len(merged) > cap:
+                        raise CapExceeded("model cap exceeded")
             sets.append(merged)
         if len(sets[-1]) > cap:
             raise CapExceeded("model cap exceeded")
@@ -769,19 +768,7 @@ def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
     total = len(sets[c.output]) << len(free)
     if total > cap:
         raise CapExceeded("model cap exceeded")
-    models = []
-    for bits in sorted(sets[c.output]):
-        base = dict(zip(out_vars, bits))
-        stack = [base]
-        for v in free:
-            nxt = []
-            for d in stack:
-                for bval in (0, 1):
-                    d2 = dict(d)
-                    d2[v] = bval
-                    nxt.append(d2)
-            stack = nxt
-        models.extend(stack)
+    models = list(_complete(sorted(sets[c.output]), out_vars, free))
     models.sort(key=lambda d: tuple(d[v] for v in c.variables))
     return models
 

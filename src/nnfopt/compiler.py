@@ -613,8 +613,9 @@ def order_from_decomposition(td: TreeDecomposition) -> tuple:
     decomposition: variables in order of first bag appearance."""
     if not td._is_tree():
         raise ValueError("bag graph is not a tree")
+    broken = td.disconnected()
     for el in {x for bag in td.bags.values() for x in bag}:
-        if not td.check_connected(el):
+        if el in broken:
             raise ValueError("decomposition violates connectedness")
         if not (isinstance(el, tuple) and len(el) == 2 and el[0] in ("v", "c")):
             raise ValueError("bags must contain incidence-graph nodes")

@@ -170,20 +170,25 @@ class TreeDecomposition:
             queue.extend(self.tree[b] - seen)
         return len(seen) == len(self.bags)
 
-    def check_connected(self, v) -> bool:
-        """The bags containing v must induce a connected subtree."""
-        holding = {b for b, s in self.bags.items() if v in s}
-        if not holding:
-            return False
-        seen = set()
-        queue = deque([min(holding)])
-        while queue:
-            b = queue.popleft()
-            if b in seen:
-                continue
-            seen.add(b)
-            queue.extend((self.tree[b] & holding) - seen)
-        return seen == holding
+    def disconnected(self) -> set:
+        """Elements whose bags do not induce a connected subtree.
+
+        Requires the bag graph to be a tree.  The bags holding an element
+        then induce a forest, which is connected exactly when the tree
+        edges between two of its bags number one less than its bags; one
+        pass over the bags and one over the tree edges count both.
+        """
+        surplus: dict = {}      # bags holding v minus tree edges within them
+        for s in self.bags.values():
+            for v in s:
+                surplus[v] = surplus.get(v, 0) + 1
+        for a, near in self.tree.items():
+            sa = self.bags[a]
+            for b in near:
+                if a < b:
+                    for v in sa & self.bags[b]:
+                        surplus[v] -= 1
+        return {v for v, k in surplus.items() if k != 1}
 
     def validate(self, graph: Graph) -> None:
         """Raise ValueError unless this is a valid decomposition of graph."""
@@ -198,8 +203,9 @@ class TreeDecomposition:
         for u, v in graph.edges():
             if not any(u in s and v in s for s in self.bags.values()):
                 raise ValueError(f"edge ({u}, {v}) not covered by any bag")
+        broken = self.disconnected()
         for v in graph.nodes:
-            if not self.check_connected(v):
+            if v in broken:
                 raise ValueError(f"bags containing {v} are not connected")
 
 

@@ -1,12 +1,17 @@
 """Circuit transformations for cardinality and knapsack constraints.
 
-Every node of a normalized circuit is copied once per achievable value of
-an integer contribution function (the count of set variables from a
-chosen subset, or a weighted sum), so that copy i of a node accepts
-exactly the node's models whose contribution is i.  And nodes turn into
-convolutions over their two children's copies; the per-value selector Or
-nodes are deterministic because their children pin distinct partial sums,
-which is recorded as a pseudo-variable decision marker.
+Every node of a decomposable, deterministic circuit is copied once per
+achievable value of an integer contribution function (the count of set
+variables from a chosen subset, or a weighted sum), so that copy i of a
+node accepts exactly the node's models whose contribution is i.  The copy
+is one pass over the columnar view that writes a columnar circuit.
+Constants are folded on the way, and a literal block stays whole: it
+shifts the values of its node by a constant.  And nodes turn into
+right-nested convolutions of their children's copies, with a selector Or
+per value when several pairs of partial sums reach it; these selectors
+are deterministic because their children pin distinct partial sums, which
+is recorded as a pseudo-variable decision marker.  Or children and the
+output are padded with copies of the variables they miss.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .circuit import (AND, FALSE, LIT, OR, TRUE, CircuitBuilder, NnfCircuit,
-                      check_structure, smooth_binary_form)
+from .circuit import (AND, FALSE, LIT, OR, TRUE, NnfCircuit, check_structure,
+                      mask_bits)
 
 
 @dataclass(frozen=True)
@@ -42,59 +47,240 @@ def _require_transformable(c: NnfCircuit, counted) -> None:
         raise ValueError("transform needs a decomposable, deterministic circuit")
 
 
-def _indexed_copies(prep: NnfCircuit, contrib: Mapping):
-    """Copy each node of the smooth binary circuit per contribution value.
+def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
+    """Copy each node of c once per contribution value, in columns.
 
-    contrib maps (variable, bit) to an integer; absent pairs contribute 0.
-    Returns (builder, tables) where tables[nid] maps a value to the node
-    copy accepting exactly the models of nid with that contribution.
+    coef maps a variable to what setting it to 1 contributes; setting it
+    to 0 contributes nothing.  Only nodes the output reaches are copied,
+    and constants fold as in constant_fold.  An And node convolves its
+    live children right-nested in child order; a literal block of two or
+    more literals stays one node, the first factor, whose one value is
+    the sum of its positive literals' contributions.  An Or node pads each
+    child over the variables it misses and merges per value, in child
+    order, under its own marker.  The padding of a missing-variable mask
+    is a right-nested chain over its variables in universe order
+    (memoized per mask): a variable with a contribution gives its two
+    literals at two values, any other variable Or(positive, negative)
+    marked by itself.  Where several pairs of partial sums reach one
+    value, a selector Or marked by marker holds them in ascending (left,
+    right) order.  Ties in optimize thus see the children and
+    alternatives in the order of smooth_binary_form(c).  Every literal
+    node of c is copied, so the record view can expand blocks.
+
+    Returns (columns, table, size): the columns written so far, the
+    output's table (value -> node id, ascending) padded to the whole
+    universe, and the size the copy is bounded by: c's node and edge
+    count plus |missing| + 2 for each padding applied.
     """
-    vs = prep.var_sets
-    order = {v: i for i, v in enumerate(prep.variables)}
-    support = {var for (var, _bit), val in contrib.items() if val != 0}
-    b = CircuitBuilder(prep.variables)
-    tables: list[dict] = []
-    for nid, node in enumerate(prep.nodes):
-        kind = node[0]
-        if kind == FALSE:
-            tables.append({})
-        elif kind == TRUE:
-            tables.append({0: b.true()})
-        elif kind == LIT:
-            var, sign = node[1], node[2]
-            val = contrib.get((var, 1 if sign else 0), 0)
-            tables.append({val: b.literal(var, sign)})
-        elif kind == AND:
-            kids = node[1]
-            if not kids:
-                tables.append({0: b.true()})
-            elif len(kids) == 1:
-                tables.append(dict(tables[kids[0]]))
+    kinds, kids, pos, neg = c.columns
+    bv = c.bit_variables
+    n = len(bv)
+    bit = c.bit_index
+    val = [0] * n
+    support = 0
+    for var, cv in coef.items():
+        if cv:
+            val[bit[var]] = cv
+            support |= 1 << bit[var]
+    upos = {v: i for i, v in enumerate(c.variables)}
+    rank = [upos[v] for v in bv]
+    okinds: list = []
+    okids: list = []
+    opos: list = []
+    oneg: list = []
+
+    def add(kind, ks, a, b) -> int:
+        okinds.append(kind)
+        okids.append(ks)
+        opos.append(a)
+        oneg.append(b)
+        return len(okinds) - 1
+
+    def selectors(alts: dict, mark) -> dict:
+        table = {}
+        for s in sorted(alts):
+            got = alts[s]
+            table[s] = got[0] if len(got) == 1 else add(OR, tuple(got), mark, 0)
+        return table
+
+    def conv(t1: dict, t2: dict) -> dict:
+        pairs = [(x, y) for x in t1.values() for y in t2.values()]
+        sums = [s1 + s2 for s1 in t1 for s2 in t2]
+        start, k = len(okinds), len(pairs)
+        okinds.extend([AND] * k)
+        okids.extend(pairs)
+        opos.extend([0] * k)
+        oneg.extend([0] * k)
+        if len(t1) == 1 or len(t2) == 1:    # sums distinct and ascending
+            return dict(zip(sums, range(start, start + k)))
+        alts: dict = {}
+        for s, node in zip(sums, range(start, start + k)):
+            alts.setdefault(s, []).append(node)
+        return selectors(alts, marker)
+
+    lits: dict = {}     # (pos, neg) -> copied literal node
+    first: dict = {}    # (pos, neg) -> first input literal node
+
+    def literal(a: int, b: int) -> int:
+        got = lits.get((a, b))
+        if got is None:
+            got = lits[(a, b)] = add(LIT, (), a, b)
+        return got
+
+    gadgets: dict = {}
+    pads: dict = {}
+
+    def gadget(i: int) -> dict:
+        got = gadgets.get(i)
+        if got is None:
+            one, zero = literal(1 << i, 0), literal(0, 1 << i)
+            cv = val[i]
+            if cv == 0:
+                got = {0: add(OR, (one, zero), bv[i], 0)}
             else:
-                t1, t2 = tables[kids[0]], tables[kids[1]]
-                pairs: dict[int, list] = {}
-                for a in sorted(t1):
-                    for bb in sorted(t2):
-                        pairs.setdefault(a + bb, []).append(
-                            b.add_and((t1[a], t2[bb])))
-                scope = tuple(sorted(vs[kids[0]] & support, key=order.__getitem__))
-                table = {}
-                for s in sorted(pairs):
-                    alts = pairs[s]
-                    table[s] = alts[0] if len(alts) == 1 else b.add_or(
-                        alts, ("#sum", scope))
-                tables.append(table)
-        else:
-            merged: dict[int, list] = {}
-            for ch in node[1]:
-                for s in sorted(tables[ch]):
-                    merged.setdefault(s, []).append(tables[ch][s])
-            table = {}
-            for s in sorted(merged):
-                alts = merged[s]
-                table[s] = alts[0] if len(alts) == 1 else b.add_or(alts, node[2])
-            tables.append(table)
-    return b, tables
+                got = {0: zero, cv: one} if cv > 0 else {cv: one, 0: zero}
+            gadgets[i] = got
+        return got
+
+    def pad(missing: int) -> dict:
+        got = pads.get(missing)
+        if got is None:
+            chain = sorted(mask_bits(missing), key=rank.__getitem__)
+            got = gadget(chain.pop())
+            while chain:
+                got = conv(gadget(chain.pop()), got)
+            pads[missing] = got
+        return got
+
+    count = len(kinds)
+    FOLD_FALSE, FOLD_TRUE = -1, -2
+    rep = [FOLD_FALSE] * count      # folded node: a live input id or a constant
+    tab: list = [None] * count      # live input id -> its table
+    vm = [0] * count                # live input id -> variables mentioned
+    for nid, kind in enumerate(kinds):
+        if kind == LIT:
+            a, b = pos[nid], neg[nid]
+            got = first.get((a, b))
+            if got is None:
+                got = first[(a, b)] = nid
+                tab[nid] = {val[a.bit_length() - 1] if a else 0: literal(a, b)}
+                vm[nid] = a | b
+            rep[nid] = got
+    out = c.output
+    reach = bytearray(count)
+    reach[out] = 1
+    for nid in range(out, -1, -1):
+        if reach[nid]:
+            for ch in kids[nid]:
+                reach[ch] = 1
+    size = c.node_count + c.edge_count
+    for nid in range(out + 1):
+        if not reach[nid]:
+            continue
+        kind = kinds[nid]
+        if kind == AND:
+            live = []
+            for ch in kids[nid]:
+                r = rep[ch]
+                if r == FOLD_FALSE:
+                    break
+                if r != FOLD_TRUE:
+                    live.append(r)
+            else:
+                if len(live) > 1:
+                    live = list(dict.fromkeys(live))
+                a, b = pos[nid], neg[nid]
+                m = a | b
+                if m and not m & (m - 1):   # a one-literal block: its literal node
+                    live.insert(0, first[(a, b)])
+                    m = 0
+                if not m and len(live) < 2:
+                    rep[nid] = live[0] if live else FOLD_TRUE
+                    continue
+                tables = [tab[r] for r in live]
+                if m:
+                    shift = sum(val[i] for i in mask_bits(a & support))
+                    tables.insert(0, {shift: add(AND, (), a, b)})
+                for r in live:
+                    m |= vm[r]
+                table = tables.pop()
+                while tables:
+                    table = conv(tables.pop(), table)
+                rep[nid], tab[nid], vm[nid] = nid, table, m
+        elif kind == OR:
+            live = []
+            for ch in kids[nid]:
+                r = rep[ch]
+                if r == FOLD_TRUE:
+                    rep[nid] = FOLD_TRUE
+                    break
+                if r != FOLD_FALSE:
+                    live.append(r)
+            else:
+                if len(live) > 1:
+                    live = list(dict.fromkeys(live))
+                if len(live) < 2:
+                    rep[nid] = live[0] if live else FOLD_FALSE
+                    continue
+                m = 0
+                for r in live:
+                    m |= vm[r]
+                alts: dict = {}
+                for r in live:
+                    table = tab[r]
+                    missing = m ^ vm[r]
+                    if missing:
+                        table = conv(table, pad(missing))
+                        size += missing.bit_count() + 2
+                    for s, x in table.items():
+                        alts.setdefault(s, []).append(x)
+                rep[nid], tab[nid], vm[nid] = nid, selectors(alts, pos[nid]), m
+        elif kind == TRUE:
+            rep[nid] = FOLD_TRUE
+    r = rep[out]
+    missing = (1 << n) - 1
+    if r == FOLD_FALSE:
+        table = {}
+    elif r == FOLD_TRUE:
+        table = pad(missing) if missing else {0: add(TRUE, (), 0, 0)}
+    else:
+        table = tab[r]
+        missing ^= vm[r]
+        if missing:
+            table = conv(table, pad(missing))
+    if r != FOLD_FALSE and missing:
+        size += missing.bit_count() + 2
+    return (okinds, okids, opos, oneg), table, size
+
+
+def _append(columns: tuple, kind, kids: tuple = (), marker=0) -> int:
+    kinds, ks, pos, neg = columns
+    kinds.append(kind)
+    ks.append(kids)
+    pos.append(marker)
+    neg.append(0)
+    return len(kinds) - 1
+
+
+def _finish(c: NnfCircuit, columns: tuple, output: int, size: int, p: int) -> NnfCircuit:
+    """The copied circuit, checked against the copy's size bound.
+
+    Tables hold at most p + 1 values, so one convolution writes
+    O((p+1)^2) nodes and edges; the bound allows 3(p+2)^2 per unit of
+    size and p + 2 for the final Or.
+    """
+    built = NnfCircuit.from_columns(c.variables, c.bit_variables, columns, output)
+    if built.node_count + built.edge_count > 3 * (p + 2) ** 2 * max(size, 1) + p + 2:
+        raise RuntimeError("transform exceeded its size bound")
+    return built
+
+
+def _counted_copies(c: NnfCircuit, counted: tuple):
+    _require_transformable(c, counted)
+    order = {v: i for i, v in enumerate(c.variables)}
+    marker = ("#sum", tuple(sorted(counted, key=order.__getitem__)))
+    columns, table, size = _indexed_copies(c, dict.fromkeys(counted, 1), marker)
+    return columns, table, size, marker
 
 
 def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tuple]:
@@ -106,24 +292,16 @@ def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tu
     model set equals c's.
     """
     counted = tuple(counted)
-    _require_transformable(c, counted)
-    prep = smooth_binary_form(c)
-    order = {v: i for i, v in enumerate(prep.variables)}
-    contrib = {(x, 1): 1 for x in counted}
-    b, tables = _indexed_copies(prep, contrib)
-    out_table = tables[prep.output]
+    columns, table, size, marker = _counted_copies(c, counted)
     p = len(counted)
-    marker = ("#sum", tuple(sorted(counted, key=order.__getitem__)))
+    false = None
     roots = []
     for i in range(p + 1):
-        roots.append(out_table[i] if i in out_table else b.false())
-    output = b.add_or([out_table[s] for s in sorted(out_table)], marker)
-    built = b.finish(output)
-    prep_size = prep.node_count + prep.edge_count
-    size = built.node_count + built.edge_count
-    if size > 3 * (p + 2) ** 2 * max(prep_size, 1) + p + 2:
-        raise AssertionError("counting transform exceeded its size bound")
-    return built, tuple(roots)
+        if i not in table and false is None:
+            false = _append(columns, FALSE)
+        roots.append(table.get(i, false))
+    output = _append(columns, OR, tuple(table.values()), marker)
+    return _finish(c, columns, output, size, p), tuple(roots)
 
 
 def restrict_cardinality(c: NnfCircuit, spec: CardinalitySpec) -> NnfCircuit:
@@ -131,14 +309,10 @@ def restrict_cardinality(c: NnfCircuit, spec: CardinalitySpec) -> NnfCircuit:
 
     An empty admissible set yields a circuit with no models.
     """
-    counted, roots = counting_transform(c, spec.variables)
-    nodes = list(counted.nodes)
-    order = {v: i for i, v in enumerate(counted.variables)}
-    marker = ("#sum", tuple(sorted(spec.variables, key=order.__getitem__)))
-    children = tuple(roots[i] for i in sorted(spec.sums)
-                     if counted.nodes[roots[i]][0] != FALSE)
-    nodes.append((OR, children, marker))
-    return NnfCircuit(counted.variables, nodes, len(nodes) - 1)
+    columns, table, size, marker = _counted_copies(c, spec.variables)
+    output = _append(columns, OR, tuple(table[s] for s in sorted(spec.sums)
+                                        if s in table), marker)
+    return _finish(c, columns, output, size, len(spec.variables))
 
 
 def knapsack_transform(c: NnfCircuit, coeffs: Mapping, lower: int, upper: int) -> NnfCircuit:
@@ -156,16 +330,13 @@ def knapsack_transform(c: NnfCircuit, coeffs: Mapping, lower: int, upper: int) -
         clean[v] = int(cv)
     coeffs = clean
     _require_transformable(c, coeffs.keys())
-    if int(lower) > int(upper):
+    lower, upper = int(lower), int(upper)
+    if lower > upper:
         raise ValueError("empty knapsack interval")
-    prep = smooth_binary_form(c)
-    order = {v: i for i, v in enumerate(prep.variables)}
-    contrib = {(x, 1): cv for x, cv in coeffs.items() if cv != 0}
-    b, tables = _indexed_copies(prep, contrib)
-    out_table = tables[prep.output]
+    order = {v: i for i, v in enumerate(c.variables)}
     marker = ("#wsum", tuple(sorted(((v, cv) for v, cv in coeffs.items()),
                                     key=lambda t: order[t[0]])))
-    children = tuple(out_table[s] for s in sorted(out_table)
-                     if int(lower) <= s <= int(upper))
-    output = b.add_or(children, marker)
-    return b.finish(output)
+    columns, table, size = _indexed_copies(c, coeffs, marker)
+    output = _append(columns, OR, tuple(x for s, x in table.items()
+                                        if lower <= s <= upper), marker)
+    return _finish(c, columns, output, size, sum(map(abs, coeffs.values())))

@@ -182,6 +182,38 @@ def fig_ddnnf():
     return b.finish(out)
 
 
+def random_decision_dnnf(rng, universe):
+    """A random decision-DNNF, in general not smooth: Or children and
+    And parts mention random subsets of the variables left to them, so
+    variables go free below Or nodes and at the output."""
+    b = CircuitBuilder(universe)
+
+    def build(avail, depth):
+        roll = rng.random()
+        if not avail or depth == 0 or roll < 0.15:
+            leaf = rng.random()
+            if not avail or leaf < 0.17:
+                return b.true() if leaf < 0.15 else b.false()
+            return b.literal(rng.choice(avail), rng.random() < 0.5)
+        if roll < 0.45:
+            rest = list(avail)
+            rng.shuffle(rest)
+            cut = rng.randint(0, len(rest))
+            kids = [build(rest[:cut], depth - 1), build(rest[cut:], depth - 1)]
+            return b.add_and(kids)
+        d = rng.choice(avail)
+        rest = [v for v in avail if v != d]
+        branches = []
+        for sign in (True, False):
+            sub = [v for v in rest if rng.random() < 0.7]
+            branches.append(b.add_and((b.literal(d, sign), build(sub, depth - 1))))
+        rng.shuffle(branches)
+        return b.add_or(branches, d)
+
+    used = [v for v in universe if rng.random() < 0.8]
+    return b.finish(build(used, 4))
+
+
 def circuit_corpus(rng: random.Random, count: int = 8):
     """Mixed bag of small circuits: figure circuit plus compiled random
     formulas and encodings."""

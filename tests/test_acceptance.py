@@ -218,6 +218,35 @@ class TestCriterion6ExtendedFormulation:
         print(PASS.format(6, "system reproduction, determinant 2, certificate "
                              "bijection and exact duality on the corpus"))
 
+    def test_highs_lp_optimum_on_100_corpus_instances(self, solved_corpus):
+        # the extended formulation is exact, checked by an LP solver that
+        # shares no code with dual_optimize
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        corpus, _ = solved_corpus
+        for inst, circuit, opt in corpus[:100]:
+            system = build_system(normalize_for_extform(circuit), include_x=True)
+            index = {col: i for i, col in enumerate(system.columns)}
+            eq, ge = [], []
+            for row in system.rows:
+                dense = [0.0] * len(index)
+                for col, k in row.coeffs:
+                    dense[index[col]] = float(k)
+                (eq if row.relation == "=" else ge).append((dense, float(row.rhs)))
+            objective = [0.0] * len(index)
+            for i, p in enumerate(inst.profit):
+                objective[index[("x", CnfVariable("y", i))]] -= float(p)
+            res = linprog(objective,
+                          A_ub=[[-k for k in d] for d, _ in ge] or None,
+                          b_ub=[-r for _, r in ge] or None,
+                          A_eq=[d for d, _ in eq] or None, b_eq=[r for _, r in eq] or None,
+                          bounds=(None, None), method="highs")
+            assert res.status == 0, res.message
+            oracle = brute_force(inst, None, 1)[0][1]
+            assert abs(-res.fun - float(opt.value)) <= 1e-7
+            assert abs(-res.fun - float(oracle)) <= 1e-7
+        print(PASS.format(6, "HiGHS LP optimum equals the circuit optimum and "
+                             "the oracle on 100 corpus instances"))
+
 
 class TestCriterion7DecompositionBounds:
     def test_lift_bound_100(self):

@@ -119,12 +119,33 @@ class TestSolve:
                         "--knapsack", "6:6:1,1,1,1,1,1", example)
         assert code == 0 and out == "infeasible\n"
 
+    def test_card_set_and_knapsack_text(self, capsys, example):
+        code, out = run(capsys, "solve", "--card-set", "2",
+                        "--knapsack", "2:4:1,1,1,1,1,1", example)
+        assert code == 0
+        assert out == "optimum 4\npoint v1=0 v2=0 v3=0 v4=1 v5=1 v6=0\n"
+
+    def test_labs_8_3_knapsack_text(self, capsys):
+        # the optimum 2 is attained at several points; the witness is the
+        # one the transform's tie-breaks pick
+        _, labs = run(capsys, "gen-labs", "8", "3")
+        code, out = run(capsys, "solve", "--knapsack", "3:8:1,2,3,1,2,3,1,2", "-",
+                        stdin=labs)
+        assert code == 0
+        assert out == "optimum 2\npoint v1=0 v2=0 v3=0 v4=1 v5=0 v6=0 v7=0 v8=1\n"
+
 
 class TestCard:
     def test_worked_example_set_two(self, capsys, example):
         code, out = run(capsys, "card", "--set", "2", example)
         assert code == 0
         assert out.splitlines()[0] == "optimum 4"
+
+    def test_labs_8_3_set_four_text(self, capsys):
+        _, labs = run(capsys, "gen-labs", "8", "3")
+        code, out = run(capsys, "card", "--set", "4", "-", stdin=labs)
+        assert code == 0
+        assert out == "optimum 2\npoint v1=0 v2=0 v3=1 v4=0 v5=1 v6=1 v7=1 v8=0\n"
 
     def test_directive_in_file(self, capsys, tmp_path):
         p = tmp_path / "c.poly"

@@ -71,13 +71,21 @@ class TestBuildSystem:
             "try:\n"
             "    ef.tu_counterexample_check()\n"
             "except RuntimeError as exc:\n"
+            "    print('raised', exc)\n"
+            "from nnfopt import counting_transform\n"
+            "from nnfopt.cnf import CnfVariable\n"
+            "c.__dict__['edge_count'] = -10 ** 6  # understate the input's size\n"
+            "try:\n"
+            "    counting_transform(c, [CnfVariable('x', v) for v in range(1, 7)])\n"
+            "except RuntimeError as exc:\n"
             "    print('raised', exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "det 2", "top 9 6 4",
-            "raised determinant of an integer matrix came out as 5/2"]
+            "raised determinant of an integer matrix came out as 5/2",
+            "raised transform exceeded its size bound"]
 
     def test_coefficients_stay_unit(self):
         rng = random.Random(6)

@@ -202,6 +202,27 @@ class TestTreeDecompositionValidation:
         with pytest.raises(ValueError, match="not connected"):
             td.validate(g)
 
+    def test_disconnected_matches_a_search_per_element(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            nb = rng.randint(1, 8)
+            ids = rng.sample(range(20), nb)
+            edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, nb)]
+            td = TreeDecomposition({b: rng.sample(range(6), rng.randint(0, 4))
+                                    for b in ids}, edges)
+            expect = set()
+            for v in set().union(*td.bags.values()):
+                holding = {b for b, bag in td.bags.items() if v in bag}
+                seen, stack = set(), [min(holding)]
+                while stack:
+                    b = stack.pop()
+                    if b not in seen:
+                        seen.add(b)
+                        stack.extend(td.tree[b] & holding)
+                if seen != holding:
+                    expect.add(v)
+            assert td.disconnected() == expect
+
     def test_not_a_tree(self):
         g = Graph([1])
         td = TreeDecomposition({0: [1], 1: [1], 2: [1]},

@@ -1,15 +1,18 @@
+import hashlib
 import random
 from math import comb
 from fractions import Fraction
 
 import pytest
 
-from corpus import circuit_corpus, worked_example, poly_points_sorted, random_instance
-from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, beta_elimination_order,
-                    check_structure, compile_formula, counting_transform,
-                    encode_basic, encode_ordered, enumerate_models, knapsack_transform,
-                    model_count, optimize, project_solution, reroot,
-                    restrict_cardinality, weights_from_profits)
+from corpus import (circuit_corpus, worked_example, poly_points_sorted,
+                    random_decision_dnnf, random_formula, random_instance)
+from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig,
+                    WeightFunction, beta_elimination_order, check_structure,
+                    compile_formula, counting_transform, encode_basic, encode_ordered,
+                    enumerate_models, evaluate, knapsack_transform, model_count,
+                    optimize, project_solution, reroot, restrict_cardinality,
+                    weights_from_profits)
 from nnfopt.cnf import CnfVariable
 
 
@@ -165,3 +168,188 @@ class TestKnapsackTransform:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError, match="interval"):
             knapsack_transform(compiled_worked(), {}, 2, 1)
+
+
+PINNED_TIE_BREAK_DIGEST = "05ffb8dc6f551cec59ea732d1a4c4e28de5745a35c3fe0d54f82e3f77084160a"
+
+
+def tie_heavy_weights(rng, variables):
+    return WeightFunction(variables, {(v, bit): rng.choice((-1, 0, 0, 1))
+                                      for v in variables for bit in (0, 1)})
+
+
+def assert_constrained_optimum(transformed, c, w, feasible):
+    """optimize on the transformed circuit against enumeration of c."""
+    values = [w.value_of(m) for m in enumerate_models(c, cap=100000) if feasible(m)]
+    opt = optimize(transformed, w)
+    if not values:
+        assert opt.value == NEG_INF and opt.witness is None
+        return False
+    assert opt.value == max(values)
+    assert evaluate(c, opt.witness) and feasible(opt.witness)
+    assert w.value_of(opt.witness) == opt.value
+    return True
+
+
+def check_transforms(rng, c):
+    """Restrict, knapsack, and both composed, on a random counted subset
+    and random coefficients in -2..3 (zeros included), against enumeration."""
+    universe = c.variables
+    counted = tuple(rng.sample(universe, rng.randint(1, len(universe))))
+    sums = frozenset(rng.sample(range(len(counted) + 1), rng.randint(1, len(counted) + 1)))
+    coeffs = {v: rng.randint(-2, 3) for v in universe if rng.random() < 0.8}
+    lo = rng.randint(-3, 4)
+    hi = lo + rng.randint(0, 4)
+    in_card = lambda m: sum(m[v] for v in counted) in sums
+    in_knap = lambda m: lo <= sum(cv * m[v] for v, cv in coeffs.items()) <= hi
+    w = tie_heavy_weights(rng, universe)
+    restricted = restrict_cardinality(c, CardinalitySpec(counted, sums))
+    constrained = knapsack_transform(c, coeffs, lo, hi)
+    both = knapsack_transform(restricted, coeffs, lo, hi)
+    feasible = assert_constrained_optimum(restricted, c, w, in_card)
+    assert_constrained_optimum(constrained, c, w, in_knap)
+    assert_constrained_optimum(both, c, w, lambda m: in_card(m) and in_knap(m))
+    for t in (restricted, constrained, both):
+        rep = check_structure(t)
+        assert rep.decomposable and rep.deterministic and rep.smooth
+    return feasible
+
+
+def tie_break_transcript(seed: int = 79) -> str:
+    """Witnesses of optimize on restricted, knapsack and composed circuits
+    under tie-heavy weights, as bit strings in universe order: random
+    non-smooth decision-DNNFs and compiled circuits with literal blocks
+    over permuted bit variables."""
+    rng = random.Random(seed)
+    universe = tuple(f"z{i}" for i in (4, 1, 6, 0, 3, 5, 2))
+    circuits = [random_decision_dnnf(rng, universe) for _ in range(60)]
+    for _ in range(20):
+        f = random_formula(rng)
+        hint = list(f.variables)
+        rng.shuffle(hint)
+        circuits.append(compile_formula(f, CompileConfig(order_hint=hint)))
+    lines = []
+    for c in circuits:
+        counted = tuple(rng.sample(c.variables, rng.randint(1, len(c.variables))))
+        sums = rng.sample(range(len(counted) + 1), len(counted) // 2 + 1)
+        coeffs = {v: rng.randint(-2, 3) for v in c.variables}
+        lo = rng.randint(-2, 2)
+        w = tie_heavy_weights(rng, c.variables)
+        restricted = restrict_cardinality(c, CardinalitySpec(counted, sums))
+        for t in (restricted, knapsack_transform(c, coeffs, lo, lo + 4),
+                  knapsack_transform(restricted, coeffs, lo, lo + 5)):
+            witness = optimize(t, w).witness
+            lines.append("-" if witness is None else
+                         "".join(str(witness[v]) for v in c.variables))
+    return " ".join(lines)
+
+
+class TestColumnarCopyOracle:
+    def test_tie_breaks_match_the_smooth_binary_form(self):
+        # digest of the transcript taken from the implementation that
+        # copied smooth_binary_form(c) node by node: optimize's ties go to
+        # the first Or child and to the smallest left partial sum, so the
+        # witnesses pin the order of children and alternatives
+        transcript = tie_break_transcript()
+        assert transcript.count("-") < 100     # of 240 witnesses
+        digest = hashlib.sha256(transcript.encode()).hexdigest()
+        assert digest == PINNED_TIE_BREAK_DIGEST
+
+    def test_nonsmooth_inputs_with_free_variables(self):
+        rng = random.Random(61)
+        universe = tuple(f"z{i}" for i in (4, 1, 6, 0, 3, 5, 2))
+        free_or_child = free_output = feasible = 0
+        for _ in range(150):
+            c = random_decision_dnnf(rng, universe)
+            vs = c.var_sets
+            free_output += vs[c.output] != set(universe)
+            free_or_child += any(node[0] == "O" and vs[ch] != vs[nid]
+                                 for nid, node in enumerate(c.nodes)
+                                 for ch in c.children(nid))
+            feasible += check_transforms(rng, c)
+        assert free_output > 20 and free_or_child > 20 and feasible > 50
+
+    def test_literal_blocks_over_permuted_bit_variables(self):
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(80):
+            f = random_formula(rng)
+            hint = list(f.variables)
+            rng.shuffle(hint)
+            c = compile_formula(f, CompileConfig(order_hint=hint))
+            kinds, _, pos, neg = c.columns
+            if c.bit_variables == c.variables or not any(
+                    kind == "A" and (a or b) for kind, a, b in zip(kinds, pos, neg)):
+                continue
+            checked += 1
+            check_transforms(rng, c)
+        assert checked >= 10
+
+    def test_true_and_false_circuits(self):
+        universe = (x(2), x(1), x(3))
+        b = CircuitBuilder(universe)
+        true = b.finish(b.true())
+        counted, roots = counting_transform(true, (x(1), x(3)))
+        assert [model_count(reroot(counted, r)) for r in roots] == [2, 4, 2]
+        k = knapsack_transform(true, {x(1): 2, x(2): 0, x(3): -1}, 0, 1)
+        assert model_rows(k) == {(a, b1, c) for a in (0, 1) for b1 in (0, 1)
+                                 for c in (0, 1) if 0 <= 2 * b1 - c <= 1}
+        w = WeightFunction(universe, {(x(3), 1): 1, (x(2), 0): 1})
+        opt = optimize(restrict_cardinality(true, CardinalitySpec((x(1), x(3)), {1})), w)
+        assert opt.value == 2 and opt.witness == {x(1): 0, x(2): 0, x(3): 1}
+        b = CircuitBuilder(universe)
+        false = b.finish(b.false())
+        counted, roots = counting_transform(false, universe)
+        assert [model_count(reroot(counted, r)) for r in roots] == [0, 0, 0, 0]
+        assert model_count(counted) == 0
+        spec = CardinalitySpec(universe, {0, 1, 2, 3})
+        assert optimize(restrict_cardinality(false, spec), w).value == NEG_INF
+        assert optimize(knapsack_transform(false, {x(1): 1}, 0, 1), w).value == NEG_INF
+        # constants below gates fold away: Or(true) is true, And(false, x) false
+        b = CircuitBuilder(universe)
+        dead = b.add_and((b.literal(x(3), True), b.false()))
+        folded = b.finish(b.add_or((b.add_and((b.literal(x(1), True),
+                                                b.add_or((b.true(),), None))),
+                                     dead), ("#trusted",)))
+        counted, roots = counting_transform(folded, universe)
+        assert [model_count(reroot(counted, r)) for r in roots] == [0, 1, 2, 1]
+        rng = random.Random(71)
+        for c in (true, false, folded):
+            for _ in range(10):
+                check_transforms(rng, c)
+
+    def test_restricted_circuit_fed_to_knapsack(self):
+        inst = worked_example()
+        c = compiled_worked()
+        restricted = restrict_cardinality(c, CardinalitySpec(xvars(inst), {2, 3}))
+        coeffs = dict(zip(xvars(inst), (1, 2, 2, 1, 1, -1)))
+        both = knapsack_transform(restricted, coeffs, 3, 4)
+        in_both = lambda m: (sum(m[v] for v in xvars(inst)) in (2, 3)
+                             and 3 <= sum(cv * m[v] for v, cv in coeffs.items()) <= 4)
+        w = weights_from_profits(inst)
+        assert assert_constrained_optimum(both, c, w, in_both)
+        assert model_rows(both) == {tuple(m[v] for v in c.variables)
+                                    for m in enumerate_models(c) if in_both(m)}
+
+    def test_enumerate_models_on_columnar_output(self):
+        rng = random.Random(73)
+        for c in circuit_corpus(rng, count=5):
+            if len(c.variables) > 10:
+                continue
+            counted = c.variables[1::2]
+            sums = {s for s in (1, 2) if s <= len(counted)}
+            restricted = restrict_cardinality(c, CardinalitySpec(counted, sums))
+            assert "nodes" not in restricted.__dict__   # written as columns
+            got = enumerate_models(restricted)
+            assert got == [m for m in enumerate_models(c)
+                           if sum(m[v] for v in counted) in sums]
+            assert model_count(restricted) == len(got)
+
+    def test_size_guard_raises(self):
+        inst = worked_example()
+        c = compiled_worked()
+        c.__dict__["edge_count"] = -10 ** 6    # understate the input's size
+        with pytest.raises(RuntimeError, match="size bound"):
+            counting_transform(c, xvars(inst))
+        with pytest.raises(RuntimeError, match="size bound"):
+            knapsack_transform(c, {v: 1 for v in xvars(inst)}, 0, 6)
