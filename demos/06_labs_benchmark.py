@@ -11,9 +11,8 @@ a few mask operations per decision node, so n=20 solves in 17-27 s on a
 
 import time
 
-from nnfopt import brute_force, gen_labs, labs_energy, optimize, parse_instance, \
-    project_solution, weights_from_profits
-from nnfopt.cli import _compile_parsed
+from nnfopt import brute_force, compile_instance, gen_labs, labs_energy, optimize, \
+    parse_instance, project_solution, weights_from_profits
 
 N, W = 10, 2
 text = gen_labs(N, W)
@@ -22,7 +21,7 @@ print(f"instance n={N} w={W}: {len(parsed.instance.hypergraph.edges)} monomials,
       f"constant offset {parsed.offset}")
 
 t0 = time.time()
-circuit = _compile_parsed(parsed, "auto")
+circuit = compile_instance(parsed.instance)
 opt = optimize(circuit, weights_from_profits(parsed.instance))
 elapsed = time.time() - t0
 point = project_solution(opt.witness, parsed.instance)

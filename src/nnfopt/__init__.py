@@ -7,13 +7,13 @@ extract a totally dual integral extended LP formulation from it.
 """
 
 from .circuit import (CapExceeded, CircuitBuilder, NnfCircuit, StructureReport,
-                      binarize_and, check_structure, enumerate_models, evaluate,
-                      from_nnf_text, model_count, normalize_for_extform, reroot,
-                      smooth, smooth_binary_form, to_nnf_text)
+                      check_structure, enumerate_models, evaluate, from_nnf_text,
+                      model_count, normalize_for_extform, reroot,
+                      smooth_binary_form, to_nnf_text)
 from .cnf import (CnfFormula, CnfVariable, encode_basic, encode_ordered,
                   formula_hypergraph, formula_incidence_graph, instance_variables)
-from .compiler import (CompileConfig, compile_formula, order_from_beta,
-                       order_from_decomposition)
+from .compiler import (CompileConfig, compile_formula, compile_instance,
+                       encode_instance, order_from_beta, order_from_decomposition)
 from .extform import (LinearSystem, Row, build_system, certificate_point,
                       certificate_tree_cost, dual_optimize,
                       enumerate_certificates, insert_literal_relays, to_lp_text,

@@ -15,8 +15,11 @@ children as two masks (positive and negative literals).  The compiler
 writes circuits in that form, so its output costs a few words per
 decision node; the record view expands each block into literal children
 on first use.  Structure checks, evaluation, the optimum and top-k
-queries and the cardinality and knapsack transforms read the columnar
-view and never expand blocks.
+queries read the columnar view, and so does every rebuild: constant
+folding, the extform normal form, rerooting and the cardinality and
+knapsack transforms write columns without expanding blocks.  The record
+view serves the edge-indexed extform systems (literal relays write the
+record order of edges), the text format, counting and enumeration.
 """
 
 from __future__ import annotations
@@ -141,27 +144,40 @@ class NnfCircuit:
         return kinds, kids, pos, neg
 
     @cached_property
-    def nodes(self) -> tuple:
-        """The record view; a literal block expands to its literal nodes."""
+    def record_kids(self) -> tuple:
+        """Each node's children in the record view: a literal block expands
+        to its literal nodes, in universe order, ahead of the other kids."""
         kinds, kids, pos, neg = self.columns
-        bv = self.bit_variables
-        order = {v: i for i, v in enumerate(self.variables)}
+        if not any(a or b for kind, a, b in zip(kinds, pos, neg) if kind == AND):
+            return tuple(kids)
+        upos = {v: i for i, v in enumerate(self.variables)}
+        rank = [upos[v] for v in self.bit_variables]
         lit_id: dict = {}
         for nid, kind in enumerate(kinds):
             if kind == LIT:
                 lit_id.setdefault((pos[nid], neg[nid]), nid)
         out = []
-        for nid, kind in enumerate(kinds):
+        for kind, ks, a, b in zip(kinds, kids, pos, neg):
+            if kind == AND and (a or b):
+                lits = sorted([(rank[i], lit_id[(1 << i, 0)]) for i in mask_bits(a)]
+                              + [(rank[i], lit_id[(0, 1 << i)]) for i in mask_bits(b)])
+                ks = tuple(lid for _, lid in lits) + tuple(ks)
+            out.append(ks)
+        return tuple(out)
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """The record view; a literal block expands to its literal nodes."""
+        kinds, _, pos, neg = self.columns
+        bv = self.bit_variables
+        out = []
+        for kind, ks, a, b in zip(kinds, self.record_kids, pos, neg):
             if kind == LIT:
-                b = (pos[nid] | neg[nid]).bit_length() - 1
-                out.append((LIT, bv[b], bool(pos[nid])))
+                out.append((LIT, bv[(a | b).bit_length() - 1], bool(a)))
             elif kind == AND:
-                lits = [(order[bv[b]], lit_id[(1 << b, 0)]) for b in mask_bits(pos[nid])]
-                lits += [(order[bv[b]], lit_id[(0, 1 << b)]) for b in mask_bits(neg[nid])]
-                lits.sort()
-                out.append((AND, tuple(i for _, i in lits) + tuple(kids[nid])))
+                out.append((AND, tuple(ks)))
             elif kind == OR:
-                out.append((OR, tuple(kids[nid]), pos[nid]))
+                out.append((OR, tuple(ks), a))
             else:
                 out.append((kind,))
         return tuple(out)
@@ -173,21 +189,12 @@ class NnfCircuit:
         return len(self.columns[0]) if "columns" in self.__dict__ else len(self.nodes)
 
     def children(self, nid: int) -> tuple:
-        node = self.nodes[nid]
-        return node[1] if node[0] in (AND, OR) else ()
-
-    def decision(self, nid: int):
-        node = self.nodes[nid]
-        return node[2] if node[0] == OR else None
+        return self.record_kids[nid]
 
     @cached_property
     def edge_list(self) -> tuple:
         """All (child, parent) pairs; the position is the edge id."""
-        out = []
-        for nid in range(len(self.nodes)):
-            for ch in self.children(nid):
-                out.append((ch, nid))
-        return tuple(out)
+        return tuple((ch, nid) for nid, ks in enumerate(self.record_kids) for ch in ks)
 
     @cached_property
     def edge_count(self) -> int:
@@ -238,9 +245,10 @@ class NnfCircuit:
         if got is None:
             seen = {self.output}
             stack = [self.output]
+            kids = self.record_kids
             while stack:
                 nid = stack.pop()
-                for ch in self.children(nid):
+                for ch in kids[nid]:
                     if ch not in seen:
                         seen.add(ch)
                         stack.append(ch)
@@ -446,171 +454,132 @@ def check_structure(c: NnfCircuit) -> StructureReport:
 
 
 # ---------------------------------------------------------------------------
-# rebuilding helpers
+# rebuilds over the columnar view
+
+FOLD_FALSE, FOLD_TRUE = -1, -2
 
 
-def _rebuild(c: NnfCircuit, transform) -> NnfCircuit:
-    """Rebuild the part of c reachable from the output.
+def fold_constants(c: NnfCircuit) -> tuple[list, int]:
+    """Constant folding on the columnar view, without writing a node.
 
-    transform(builder, mapping, nid, node) returns the new id for node;
-    literal dedup comes from the builder.
+    Returns (live, root).  live lists the nodes that stay, ascending, as
+    (nid, kind, kids, a, b): the first literal node of each literal,
+    reached or not, and each gate the output reaches that stays, with
+    kids the live representatives of its children, in order and without
+    repeats, and a, b its literal block (And) or its marker and 0 (Or).
+    And nodes drop true children and fold to false on a false child; Or
+    nodes drop false children and fold to true on a true child.  A
+    one-literal block becomes the And's first child; a gate left with one
+    child and no block folds to that child, and with none to its
+    constant.  root is the output's representative: a live node id,
+    FOLD_FALSE or FOLD_TRUE.
     """
-    b = CircuitBuilder(c.variables)
-    mapping: dict[int, int] = {}
-    for nid in c.reachable_from_output():
-        node = c.nodes[nid]
-        mapping[nid] = transform(b, mapping, nid, node)
-    return b.finish(mapping[c.output])
-
-
-def _identity_node(b: CircuitBuilder, mapping: dict, node: tuple) -> int:
-    kind = node[0]
-    if kind == FALSE:
-        return b.false()
-    if kind == TRUE:
-        return b.true()
-    if kind == LIT:
-        return b.literal(node[1], node[2])
-    if kind == AND:
-        return b.add_and(mapping[ch] for ch in node[1])
-    return b.add_or((mapping[ch] for ch in node[1]), node[2])
-
-
-def constant_fold(c: NnfCircuit) -> NnfCircuit:
-    """Remove constant nodes from the interior of the circuit.
-
-    And nodes drop true children and collapse to false on a false child;
-    Or nodes drop false children and collapse to true on a true child.
-    Unary gates collapse to their child.  Only the output may remain
-    constant.
-    """
-    b = CircuitBuilder(c.variables)
-    mapping: dict[int, int] = {}
-    kindof = lambda i: b.nodes[i][0]
-    for nid in c.reachable_from_output():
-        node = c.nodes[nid]
-        kind = node[0]
-        if kind in (FALSE, TRUE, LIT):
-            mapping[nid] = _identity_node(b, mapping, node)
+    kinds, kids, pos, neg = c.columns
+    count = len(kinds)
+    rep = [FOLD_FALSE] * count      # folded node: a live node id or a constant
+    first: dict = {}                # (pos, neg) -> first literal node
+    for nid, kind in enumerate(kinds):
+        if kind == LIT:
+            rep[nid] = first.setdefault((pos[nid], neg[nid]), nid)
+    out = c.output
+    reach = bytearray(count)
+    reach[out] = 1
+    for nid in range(out, -1, -1):
+        if reach[nid]:
+            for ch in kids[nid]:
+                reach[ch] = 1
+    live = []
+    for nid, kind in enumerate(kinds):
+        if kind == LIT:
+            if rep[nid] == nid:
+                live.append((nid, LIT, (), pos[nid], neg[nid]))
+        elif not reach[nid]:
             continue
-        kids = [mapping[ch] for ch in node[1]]
-        if kind == AND:
-            if any(kindof(k) == FALSE for k in kids):
-                mapping[nid] = b.false()
-                continue
-            kids = [k for k in kids if kindof(k) != TRUE]
-            kids = list(dict.fromkeys(kids))
-            if not kids:
-                mapping[nid] = b.true()
-            elif len(kids) == 1:
-                mapping[nid] = kids[0]
+        elif kind == AND:
+            ks = []
+            for ch in kids[nid]:
+                r = rep[ch]
+                if r == FOLD_FALSE:
+                    break
+                if r != FOLD_TRUE:
+                    ks.append(r)
             else:
-                mapping[nid] = b.add_and(kids)
-        else:
-            if any(kindof(k) == TRUE for k in kids):
-                mapping[nid] = b.true()
-                continue
-            kids_kept = [k for k in kids if kindof(k) != FALSE]
-            kids_kept = list(dict.fromkeys(kids_kept))
-            if not kids_kept:
-                mapping[nid] = b.false()
-            elif len(kids_kept) == 1:
-                mapping[nid] = kids_kept[0]
+                if len(ks) > 1:
+                    ks = list(dict.fromkeys(ks))
+                a, b = pos[nid], neg[nid]
+                m = a | b
+                if m and not m & (m - 1):   # a one-literal block: its literal node
+                    ks.insert(0, first[(a, b)])
+                    a = b = 0
+                if not (a or b) and len(ks) < 2:
+                    rep[nid] = ks[0] if ks else FOLD_TRUE
+                else:
+                    rep[nid] = nid
+                    live.append((nid, AND, tuple(ks), a, b))
+        elif kind == OR:
+            ks = []
+            for ch in kids[nid]:
+                r = rep[ch]
+                if r == FOLD_TRUE:
+                    rep[nid] = FOLD_TRUE
+                    break
+                if r != FOLD_FALSE:
+                    ks.append(r)
             else:
-                mapping[nid] = b.add_or(kids_kept, node[2])
-    out = mapping[c.output]
-    return b.finish(out)
+                if len(ks) > 1:
+                    ks = list(dict.fromkeys(ks))
+                if len(ks) < 2:
+                    rep[nid] = ks[0] if ks else FOLD_FALSE
+                else:
+                    rep[nid] = nid
+                    live.append((nid, OR, tuple(ks), pos[nid], 0))
+        elif kind == TRUE:
+            rep[nid] = FOLD_TRUE
+    return live, rep[out]
 
 
-class _Smoother:
-    """Shared Or(x, not x) gadgets for padding missing variables."""
-
-    def __init__(self, builder: CircuitBuilder) -> None:
-        self.b = builder
-        self._order = {v: i for i, v in enumerate(builder.variables)}
-        self._gadgets: dict = {}
-
-    def gadget(self, var) -> int:
-        if var not in self._gadgets:
-            pos = self.b.literal(var, True)
-            neg = self.b.literal(var, False)
-            self._gadgets[var] = self.b.add_or((pos, neg), var)
-        return self._gadgets[var]
-
-    def pad(self, nid: int, missing: Iterable) -> int:
-        miss = sorted(missing, key=self._order.__getitem__)
-        if not miss:
-            return nid
-        return self.b.add_and([nid] + [self.gadget(v) for v in miss])
+def add_node(columns: tuple, kind, kids: tuple = (), a=0, b=0) -> int:
+    """Append a node to (kinds, kids, pos, neg) lists; returns its id."""
+    kinds, ks, pos, neg = columns
+    kinds.append(kind)
+    ks.append(kids)
+    pos.append(a)
+    neg.append(b)
+    return len(kinds) - 1
 
 
-def smooth(c: NnfCircuit) -> NnfCircuit:
-    """Pad every Or child up to the variable set of its parent.
+def _compact(columns: tuple, root: int) -> tuple:
+    """Drop the nodes the root cannot reach, keeping the order of the rest.
 
-    The input must be decomposable; the result is decomposable, smooth
-    and computes the same function.  Constants are folded first, so false
-    children disappear rather than being padded.
+    A literal node stays when a kept block holds its literal.  When every
+    node stays, the columns come back as they are.
     """
-    if not check_structure(c).decomposable:
-        raise ValueError("smoothing requires a decomposable circuit")
-    folded = constant_fold(c)
-    vs = folded.var_sets
-    b = CircuitBuilder(folded.variables)
-    sm = _Smoother(b)
-    mapping: dict[int, int] = {}
-    for nid in folded.reachable_from_output():
-        node = folded.nodes[nid]
-        if node[0] == OR and node[1]:
-            kids = [sm.pad(mapping[ch], vs[nid] - vs[ch]) for ch in node[1]]
-            mapping[nid] = b.add_or(kids, node[2])
-        else:
-            mapping[nid] = _identity_node(b, mapping, node)
-    return b.finish(mapping[folded.output])
-
-
-def binarize_and(c: NnfCircuit) -> NnfCircuit:
-    """Split And fan-ins above two into nested binary And nodes."""
-    def tr(b, mapping, nid, node):
-        if node[0] == AND and len(node[1]) > 2:
-            kids = [mapping[ch] for ch in node[1]]
-            acc = kids[-1]
-            for k in reversed(kids[:-1]):
-                acc = b.add_and((k, acc))
-            return acc
-        return _identity_node(b, mapping, node)
-    return _rebuild(c, tr)
-
-
-def pad_to_universe(c: NnfCircuit) -> NnfCircuit:
-    """Conjoin free-variable gadgets at the output so the output mentions
-    the whole universe; the computed function is unchanged."""
-    missing = set(c.variables) - c.var_sets[c.output]
-    out_kind = c.nodes[c.output][0]
-    if not missing or out_kind == FALSE:
-        return c
-    b = CircuitBuilder(c.variables)
-    mapping: dict[int, int] = {}
-    for nid in c.reachable_from_output():
-        mapping[nid] = _identity_node(b, mapping, c.nodes[nid])
-    sm = _Smoother(b)
-    root = mapping[c.output]
-    if out_kind == TRUE:
-        order = {v: i for i, v in enumerate(c.variables)}
-        new_out = b.add_and([sm.gadget(v)
-                             for v in sorted(missing, key=order.__getitem__)])
-    else:
-        new_out = sm.pad(root, missing)
-    return b.finish(new_out)
-
-
-def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
-    """Smooth circuit covering the full universe with binary And nodes.
-
-    The cardinality and knapsack transforms copy a circuit as if it were
-    in this form, with the same alternatives in the same order, but on
-    the columnar view and without building it.
-    """
-    return binarize_and(pad_to_universe(smooth(c)))
+    kinds, kids, pos, neg = columns
+    seen = bytearray(len(kinds))
+    seen[root] = 1
+    blocks = [0, 0]
+    for nid in range(len(kinds) - 1, -1, -1):
+        if seen[nid]:
+            for ch in kids[nid]:
+                seen[ch] = 1
+            if kinds[nid] == AND:
+                blocks[1] |= pos[nid]
+                blocks[0] |= neg[nid]
+    for nid, kind in enumerate(kinds):
+        if kind == LIT and (pos[nid] & blocks[1] or neg[nid] & blocks[0]):
+            seen[nid] = 1
+    if all(seen):
+        return columns, root
+    new_id = {}
+    out = ([], [], [], [])
+    for nid, keep in enumerate(seen):
+        if keep:
+            new_id[nid] = len(out[0])
+            out[0].append(kinds[nid])
+            out[1].append(tuple(new_id[ch] for ch in kids[nid]))
+            out[2].append(pos[nid])
+            out[3].append(neg[nid])
+    return out, new_id[root]
 
 
 def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
@@ -620,23 +589,95 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     per literal, an Or output with no outgoing edges, no interior
     constants, and every node on a path to the output.  An unsatisfiable
     circuit becomes a childless Or output.
+
+    One pass over the folded columnar view: each literal is copied once,
+    and each Or child is padded as And(child, gadget...) over the
+    variables it misses, in universe order, where the gadget of a
+    variable is Or(positive, negative) marked by that variable.  The
+    output is padded to the whole universe and, unless it is an Or,
+    wrapped in a unary Or.  Literal blocks stay whole.
     """
     if not check_structure(c).decomposable:
         raise ValueError("normalization requires a decomposable circuit")
-    padded = pad_to_universe(smooth(c))
-    b = CircuitBuilder(padded.variables)
-    mapping: dict[int, int] = {}
-    for nid in padded.reachable_from_output():
-        mapping[nid] = _identity_node(b, mapping, padded.nodes[nid])
-    root = mapping[padded.output]
-    kind = b.nodes[root][0]
-    if kind == FALSE:
-        fresh = CircuitBuilder(padded.variables)
-        return fresh.finish(fresh.add_or((), None))
-    # rebuilding from the output leaves an Or output without parents
-    if kind != OR:
-        root = b.add_or((root,), None)
-    return b.finish(root)
+    bv = c.bit_variables
+    live, root = fold_constants(c)
+    if root == FOLD_FALSE:
+        return NnfCircuit.from_columns(c.variables, bv, ([OR], [()], [None], [0]), 0)
+    upos = {v: i for i, v in enumerate(c.variables)}
+    rank = [upos[v] for v in bv]
+    out = ([], [], [], [])
+    lits: dict = {}         # (pos, neg) -> literal node
+    gadgets: dict = {}      # bit -> its gadget
+
+    def literal(a: int, b: int) -> int:
+        got = lits.get((a, b))
+        if got is None:
+            got = lits[(a, b)] = add_node(out, LIT, (), a, b)
+        return got
+
+    def gadget(i: int) -> int:
+        got = gadgets.get(i)
+        if got is None:
+            got = gadgets[i] = add_node(out, OR, (literal(1 << i, 0), literal(0, 1 << i)), bv[i])
+        return got
+
+    def padding(missing: int) -> list:
+        return [gadget(i) for i in sorted(mask_bits(missing), key=rank.__getitem__)]
+
+    new = [0] * len(c.columns[0])   # live input node -> its copy
+    vm = [0] * len(c.columns[0])    # live input node -> variables mentioned
+    for nid, kind, ks, a, b in live:
+        m = a | b if kind != OR else 0
+        for r in ks:
+            m |= vm[r]
+        vm[nid] = m
+        if kind == LIT:
+            new[nid] = literal(a, b)
+        elif kind == AND:
+            new[nid] = add_node(out, AND, tuple(new[r] for r in ks), a, b)
+        else:
+            new[nid] = add_node(out, OR, tuple(
+                add_node(out, AND, (new[r], *padding(m ^ vm[r]))) if m ^ vm[r] else new[r]
+                for r in ks), a)
+    everything = (1 << len(bv)) - 1
+    if root == FOLD_TRUE:
+        top = add_node(out, AND, tuple(padding(everything))) if everything \
+            else add_node(out, TRUE)
+    elif everything ^ vm[root]:
+        top = add_node(out, AND, (new[root], *padding(everything ^ vm[root])))
+    else:
+        top = new[root]
+    if out[0][top] != OR:
+        top = add_node(out, OR, (top,), None)
+    columns, top = _compact(out, top)
+    return NnfCircuit.from_columns(c.variables, bv, columns, top)
+
+
+def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
+    """Smooth circuit covering the full universe with And fan-in at most two.
+
+    The normal form of normalize_for_extform, with each wider And split
+    into right-nested binary And nodes over its record-view children.
+    The cardinality and knapsack transforms copy a circuit as if it were
+    in this form, with the same alternatives in the same order, but on
+    the columnar view and without building it.
+    """
+    n = normalize_for_extform(c)
+    kinds, _, pos, neg = n.columns
+    out = ([], [], [], [])
+    new: list = []
+    for kind, ks, a, b in zip(kinds, n.record_kids, pos, neg):
+        ks = tuple(new[k] for k in ks)
+        if kind != AND:
+            new.append(add_node(out, kind, ks, a, b))
+        elif len(ks) > 2:
+            top = ks[-1]
+            for k in reversed(ks[:-1]):
+                top = add_node(out, AND, (k, top))
+            new.append(top)
+        else:
+            new.append(add_node(out, AND, ks))
+    return NnfCircuit.from_columns(n.variables, n.bit_variables, out, new[n.output])
 
 
 def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
@@ -662,8 +703,8 @@ def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
 
 def reroot(c: NnfCircuit, nid: int) -> NnfCircuit:
     """Circuit over the same universe computing the function of node nid."""
-    sub = NnfCircuit(c.variables, c.nodes, nid)
-    return _rebuild(sub, lambda b, mapping, i, node: _identity_node(b, mapping, node))
+    columns, root = _compact(c.columns, nid)
+    return NnfCircuit.from_columns(c.variables, c.bit_variables, columns, root)
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +883,8 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise ValueError(f"bad Or line: {ln}")
+            if not 0 <= args[0] <= nvars:
+                raise ValueError(f"decision variable {args[0]} out of range")
             if args[1] == 0:
                 nodes.append((FALSE,))
             else:

@@ -14,53 +14,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .circuit import NnfCircuit, normalize_for_extform, to_nnf_text
-from .cnf import CnfFormula, CnfVariable, encode_basic, encode_ordered, \
-    formula_incidence_graph, instance_variables
-from .compiler import CompileConfig, compile_formula, order_from_beta, \
-    order_from_decomposition
+from .circuit import normalize_for_extform, to_nnf_text
+from .cnf import CnfVariable
+from .compiler import CompileConfig, compile_formula, compile_instance, \
+    encode_instance
 from .extform import build_system, decimal_places, to_lp_text
-from .hypergraph import LiteralInstance, beta_elimination_order, \
-    minfill_decomposition
+from .hypergraph import LiteralInstance
 from .instances import GuardViolation, ParseError, ParsedInstance, brute_force, \
     gen_labs, parse_instance
 from .maxplus import NEG_INF, optimize, project_solution, top_k, \
     weights_from_profits
 from .transforms import CardinalitySpec, knapsack_transform, restrict_cardinality
-
-MINFILL_NODE_LIMIT = 4000
-
-
-def _encode(parsed: ParsedInstance, encoding: str) -> tuple[CnfFormula, Optional[tuple]]:
-    """Encode per the requested mode and pick a branch order hint.
-
-    auto uses the order-preserving encoding on beta-acyclic instances and
-    the basic encoding with a min-fill order otherwise; min-fill is
-    skipped on very large incidence graphs in favor of declaration order.
-    """
-    inst = parsed.instance
-    h = inst.hypergraph
-    beta = beta_elimination_order(h)
-    if encoding == "auto":
-        encoding = "ordered" if beta is not None else "basic"
-    if encoding == "ordered":
-        order = beta if beta is not None else tuple(h.vertices)
-        formula = encode_ordered(inst, order)
-        hint = order_from_beta(h) if beta is not None else None
-    else:
-        formula = encode_basic(inst)
-        hint = None
-    if hint is None:
-        g = formula_incidence_graph(formula)
-        if g.node_count <= MINFILL_NODE_LIMIT:
-            hint = order_from_decomposition(minfill_decomposition(g))
-    return formula, hint
-
-
-def _compile_parsed(parsed: ParsedInstance, encoding: str) -> NnfCircuit:
-    formula, hint = _encode(parsed, encoding)
-    return compile_formula(formula, CompileConfig(order_hint=hint))
-
 
 def _x_variables(inst: LiteralInstance) -> tuple[CnfVariable, ...]:
     return tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
@@ -110,7 +74,7 @@ def _print_optimum(parsed: ParsedInstance, value, point: Optional[dict]) -> None
 def _cmd_solve(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
-    circuit = _compile_parsed(parsed, args.encoding)
+    circuit = compile_instance(inst, args.encoding)
     sums = _parse_sums(args.card_set) if args.card_set else parsed.card_sums
     if sums is not None:
         circuit = restrict_cardinality(circuit, CardinalitySpec(_x_variables(inst), sums))
@@ -126,7 +90,7 @@ def _cmd_solve(args) -> int:
 def _cmd_topk(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
-    circuit = _compile_parsed(parsed, args.encoding)
+    circuit = compile_instance(inst, args.encoding)
     sums = _parse_sums(args.card_set) if args.card_set else parsed.card_sums
     if sums is not None:
         circuit = restrict_cardinality(circuit, CardinalitySpec(_x_variables(inst), sums))
@@ -147,7 +111,7 @@ def _cmd_card(args) -> int:
 
 def _cmd_compile(args) -> int:
     parsed = parse_instance(_read_text(args.file))
-    formula, hint = _encode(parsed, args.encoding)
+    formula, hint = encode_instance(parsed.instance, args.encoding)
     if not (args.emit_cnf or args.emit_nnf):
         raise ParseError("nothing to emit: pass --emit-cnf and/or --emit-nnf")
     if args.emit_cnf:
@@ -166,7 +130,7 @@ def _cmd_extform(args) -> int:
             if decimal_places(p) is None:
                 raise ParseError(f"profit {p} has no exact decimal form; "
                                  "pass --scale-objective to clear denominators")
-    circuit = normalize_for_extform(_compile_parsed(parsed, args.encoding))
+    circuit = normalize_for_extform(compile_instance(inst, args.encoding))
     system = build_system(circuit, include_x=True)
     objective = {}
     factor = 1

@@ -32,11 +32,15 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .circuit import AND, FALSE, LIT, OR, TRUE, NnfCircuit, mask_bits
-from .cnf import CnfFormula, CnfVariable
-from .hypergraph import Hypergraph, TreeDecomposition, beta_elimination_order
+from .circuit import AND, FALSE, LIT, OR, TRUE, NnfCircuit, _compact, mask_bits
+from .cnf import CnfFormula, CnfVariable, encode_basic, encode_ordered, \
+    formula_incidence_graph
+from .hypergraph import Hypergraph, LiteralInstance, TreeDecomposition, \
+    beta_elimination_order, minfill_decomposition
 
 log = logging.getLogger(__name__)
+
+MINFILL_NODE_LIMIT = 4000   # larger incidence graphs branch in declaration order
 
 _FAIL = -1      # search result of an unsatisfiable clause set; never a node
 
@@ -561,34 +565,6 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     return NnfCircuit.from_columns(variables, base, columns, root)
 
 
-def _compact(columns, root):
-    """Drop the nodes the root cannot reach, keeping the order of the rest."""
-    kinds, kids, pos, neg = columns
-    seen = bytearray(len(kinds))
-    seen[root] = 1
-    blocks = [0, 0]
-    for nid in range(len(kinds) - 1, -1, -1):
-        if seen[nid]:
-            for ch in kids[nid]:
-                seen[ch] = 1
-            if kinds[nid] == AND:
-                blocks[1] |= pos[nid]
-                blocks[0] |= neg[nid]
-    for nid, kind in enumerate(kinds):
-        if kind == LIT and (pos[nid] & blocks[1] or neg[nid] & blocks[0]):
-            seen[nid] = 1
-    new_id = {}
-    out = ([], [], [], [])
-    for nid, keep in enumerate(seen):
-        if keep:
-            new_id[nid] = len(out[0])
-            out[0].append(kinds[nid])
-            out[1].append(tuple(new_id[ch] for ch in kids[nid]))
-            out[2].append(pos[nid])
-            out[3].append(neg[nid])
-    return out, new_id[root]
-
-
 def order_from_beta(h: Hypergraph) -> tuple[CnfVariable, ...]:
     """Branch order for beta-acyclic instances: vertex variables in reverse
     elimination order, each followed by the edge variables whose last
@@ -634,3 +610,36 @@ def order_from_decomposition(td: TreeDecomposition) -> tuple:
         seen_bags.update(nxt)
         stack.extend(nxt)
     return tuple(out)
+
+
+def encode_instance(inst: LiteralInstance,
+                    encoding: str = "auto") -> tuple[CnfFormula, Optional[tuple]]:
+    """Encode per the requested mode and pick a branch order hint.
+
+    auto uses the order-preserving encoding on beta-acyclic instances and
+    the basic encoding with a min-fill order otherwise; min-fill is
+    skipped on very large incidence graphs in favor of declaration order.
+    """
+    h = inst.hypergraph
+    beta = beta_elimination_order(h)
+    if encoding == "auto":
+        encoding = "ordered" if beta is not None else "basic"
+    if encoding == "ordered":
+        order = beta if beta is not None else tuple(h.vertices)
+        formula = encode_ordered(inst, order)
+        hint = order_from_beta(h) if beta is not None else None
+    else:
+        formula = encode_basic(inst)
+        hint = None
+    if hint is None:
+        g = formula_incidence_graph(formula)
+        if g.node_count <= MINFILL_NODE_LIMIT:
+            hint = order_from_decomposition(minfill_decomposition(g))
+    return formula, hint
+
+
+def compile_instance(inst: LiteralInstance, encoding: str = "auto") -> NnfCircuit:
+    """The pipeline's front half: encode_instance, then compile_formula
+    with the chosen branch order."""
+    formula, hint = encode_instance(inst, encoding)
+    return compile_formula(formula, CompileConfig(order_hint=hint))

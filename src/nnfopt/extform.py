@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .circuit import (AND, FALSE, LIT, OR, TRUE, CapExceeded, CircuitBuilder,
-                      NnfCircuit, _identity_node, check_normalized)
+                      NnfCircuit, add_node, check_normalized)
 from .maxplus import WeightFunction
 
 
@@ -247,32 +247,36 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
 
 def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
     """Give every literal input a single out-edge by routing multi-parent
-    literals through a fresh unary Or; the function is unchanged."""
-    multi = {ids[0] for (var, sign), ids in c.literal_nodes().items()
-             if len(c.out_edges(ids[0])) > 1}
-    if not multi:
+    literals through a fresh unary Or; the function is unchanged.
+
+    The copy writes each node's record-view children as plain kids, so
+    edge ids keep their order with relays in place of literals.
+    """
+    kinds, _, pos, neg = c.columns
+    record_kids = c.record_kids
+    parents = [0] * len(kinds)
+    for ks in record_kids:
+        for ch in ks:
+            parents[ch] += 1
+    if not any(kind == LIT and n > 1 for kind, n in zip(kinds, parents)):
         return c
-    b = CircuitBuilder(c.variables)
-    mapping: dict[int, int] = {}
-    relays: dict[int, int] = {}
-    for nid in c.reachable_from_output():
-        node = c.nodes[nid]
-        if node[0] in (AND, OR):
-            kids = []
-            for ch in node[1]:
-                if ch in multi:
-                    if ch not in relays:
-                        relays[ch] = b.add_or((mapping[ch],), None)
-                    kids.append(relays[ch])
-                else:
-                    kids.append(mapping[ch])
-            if node[0] == AND:
-                mapping[nid] = b.add_and(kids)
+    out = ([], [], [], [])
+    new: list = []
+    relays: dict = {}
+    for nid, kind in enumerate(kinds):
+        ks = []
+        for ch in record_kids[nid]:
+            if kinds[ch] == LIT and parents[ch] > 1:
+                if ch not in relays:
+                    relays[ch] = add_node(out, OR, (new[ch],), None)
+                ks.append(relays[ch])
             else:
-                mapping[nid] = b.add_or(kids, node[2])
+                ks.append(new[ch])
+        if kind == AND:     # its block is among the record-view children
+            new.append(add_node(out, AND, tuple(ks)))
         else:
-            mapping[nid] = _identity_node(b, mapping, node)
-    return b.finish(mapping[c.output])
+            new.append(add_node(out, kind, tuple(ks), pos[nid], neg[nid]))
+    return NnfCircuit.from_columns(c.variables, c.bit_variables, out, new[c.output])
 
 
 def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dict]:
@@ -290,7 +294,7 @@ def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dic
         [lid] = ids
         outs = relayed.out_edges(lid)
         if len(outs) != 1:
-            raise AssertionError("literal relay insertion failed")
+            raise RuntimeError("literal relay insertion failed")
         cost[outs[0]] = w.weight(var, 1 if sign else 0)
     return relayed, cost
 

@@ -33,9 +33,6 @@ class Graph:
         self._adj[u].add(v)
         self._adj[v].add(u)
 
-    def has_node(self, n) -> bool:
-        return n in self._adj
-
     def neighbors(self, n) -> tuple:
         return tuple(sorted(self._adj[n]))
 
@@ -445,7 +442,7 @@ def lift_decomposition(td: TreeDecomposition, h: Hypergraph) -> TreeDecompositio
     lifted = TreeDecomposition(bags, edges_t)
     bound = 2 * (1 + td.width)
     if lifted.width > bound:
-        raise AssertionError(f"lifted width {lifted.width} exceeds bound {bound}")
+        raise RuntimeError(f"lifted width {lifted.width} exceeds bound {bound}")
     return lifted
 
 

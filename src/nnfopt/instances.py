@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -24,6 +25,10 @@ from .transforms import CardinalitySpec
 log = logging.getLogger(__name__)
 
 ORACLE_MAX_VERTICES = 24
+# a decimal exponent costs its magnitude in digits to expand exactly; this
+# is as many digits as int() reads from text by default
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)$")
 _CHUNK_BITS = 16
 
 
@@ -79,15 +84,21 @@ def parse_instance(text: str) -> ParsedInstance:
             continue
         tokens = line.split()
         try:
+            exponent = _EXPONENT.search(tokens[0])
+            if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+                raise ValueError("exponent out of range")
             coeff = Fraction(tokens[0])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"line {lineno}: bad coefficient {tokens[0]!r}") from exc
         sigma: dict = {}
         for tok in tokens[1:]:
             body = tok[1:] if tok.startswith("~") else tok
-            if not body.startswith("v") or not body[1:].isdigit() or int(body[1:]) <= 0:
+            try:
+                v = int(body[1:]) if body.startswith("v") and body[1:].isdecimal() else 0
+            except ValueError:      # more digits than int() reads from text
+                v = 0
+            if v <= 0:
                 raise ParseError(f"line {lineno}: bad term {tok!r}")
-            v = int(body[1:])
             if v in sigma:
                 raise ParseError(f"line {lineno}: vertex v{v} repeated in one term")
             sigma[v] = 0 if tok.startswith("~") else 1

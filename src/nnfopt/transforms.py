@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .circuit import (AND, FALSE, LIT, OR, TRUE, NnfCircuit, check_structure,
-                      mask_bits)
+from .circuit import (AND, FALSE, FOLD_FALSE, FOLD_TRUE, LIT, OR, TRUE, NnfCircuit,
+                      add_node, check_structure, fold_constants, mask_bits)
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
     """Copy each node of c once per contribution value, in columns.
 
     coef maps a variable to what setting it to 1 contributes; setting it
-    to 0 contributes nothing.  Only nodes the output reaches are copied,
-    and constants fold as in constant_fold.  An And node convolves its
+    to 0 contributes nothing.  The copy reads fold_constants(c), so only
+    nodes the output reaches are copied.  An And node convolves its
     live children right-nested in child order; a literal block of two or
     more literals stays one node, the first factor, whose one value is
     the sum of its positive literals' contributions.  An Or node pads each
@@ -72,7 +72,6 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
     universe, and the size the copy is bounded by: c's node and edge
     count plus |missing| + 2 for each padding applied.
     """
-    kinds, kids, pos, neg = c.columns
     bv = c.bit_variables
     n = len(bv)
     bit = c.bit_index
@@ -84,23 +83,14 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
             support |= 1 << bit[var]
     upos = {v: i for i, v in enumerate(c.variables)}
     rank = [upos[v] for v in bv]
-    okinds: list = []
-    okids: list = []
-    opos: list = []
-    oneg: list = []
-
-    def add(kind, ks, a, b) -> int:
-        okinds.append(kind)
-        okids.append(ks)
-        opos.append(a)
-        oneg.append(b)
-        return len(okinds) - 1
+    out = ([], [], [], [])
+    okinds, okids, opos, oneg = out
 
     def selectors(alts: dict, mark) -> dict:
         table = {}
         for s in sorted(alts):
             got = alts[s]
-            table[s] = got[0] if len(got) == 1 else add(OR, tuple(got), mark, 0)
+            table[s] = got[0] if len(got) == 1 else add_node(out, OR, tuple(got), mark)
         return table
 
     def conv(t1: dict, t2: dict) -> dict:
@@ -119,12 +109,11 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
         return selectors(alts, marker)
 
     lits: dict = {}     # (pos, neg) -> copied literal node
-    first: dict = {}    # (pos, neg) -> first input literal node
 
     def literal(a: int, b: int) -> int:
         got = lits.get((a, b))
         if got is None:
-            got = lits[(a, b)] = add(LIT, (), a, b)
+            got = lits[(a, b)] = add_node(out, LIT, (), a, b)
         return got
 
     gadgets: dict = {}
@@ -136,7 +125,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
             one, zero = literal(1 << i, 0), literal(0, 1 << i)
             cv = val[i]
             if cv == 0:
-                got = {0: add(OR, (one, zero), bv[i], 0)}
+                got = {0: add_node(out, OR, (one, zero), bv[i])}
             else:
                 got = {0: zero, cv: one} if cv > 0 else {cv: one, 0: zero}
             gadgets[i] = got
@@ -152,114 +141,54 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
             pads[missing] = got
         return got
 
-    count = len(kinds)
-    FOLD_FALSE, FOLD_TRUE = -1, -2
-    rep = [FOLD_FALSE] * count      # folded node: a live input id or a constant
-    tab: list = [None] * count      # live input id -> its table
-    vm = [0] * count                # live input id -> variables mentioned
-    for nid, kind in enumerate(kinds):
+    live, root = fold_constants(c)
+    tab: list = [None] * c.node_count   # live input id -> its table
+    vm = [0] * c.node_count             # live input id -> variables mentioned
+    for nid, kind, _, a, b in live:
         if kind == LIT:
-            a, b = pos[nid], neg[nid]
-            got = first.get((a, b))
-            if got is None:
-                got = first[(a, b)] = nid
-                tab[nid] = {val[a.bit_length() - 1] if a else 0: literal(a, b)}
-                vm[nid] = a | b
-            rep[nid] = got
-    out = c.output
-    reach = bytearray(count)
-    reach[out] = 1
-    for nid in range(out, -1, -1):
-        if reach[nid]:
-            for ch in kids[nid]:
-                reach[ch] = 1
+            tab[nid] = {val[a.bit_length() - 1] if a else 0: literal(a, b)}
+            vm[nid] = a | b
     size = c.node_count + c.edge_count
-    for nid in range(out + 1):
-        if not reach[nid]:
-            continue
-        kind = kinds[nid]
+    for nid, kind, live_kids, a, b in live:
         if kind == AND:
-            live = []
-            for ch in kids[nid]:
-                r = rep[ch]
-                if r == FOLD_FALSE:
-                    break
-                if r != FOLD_TRUE:
-                    live.append(r)
-            else:
-                if len(live) > 1:
-                    live = list(dict.fromkeys(live))
-                a, b = pos[nid], neg[nid]
-                m = a | b
-                if m and not m & (m - 1):   # a one-literal block: its literal node
-                    live.insert(0, first[(a, b)])
-                    m = 0
-                if not m and len(live) < 2:
-                    rep[nid] = live[0] if live else FOLD_TRUE
-                    continue
-                tables = [tab[r] for r in live]
-                if m:
-                    shift = sum(val[i] for i in mask_bits(a & support))
-                    tables.insert(0, {shift: add(AND, (), a, b)})
-                for r in live:
-                    m |= vm[r]
-                table = tables.pop()
-                while tables:
-                    table = conv(tables.pop(), table)
-                rep[nid], tab[nid], vm[nid] = nid, table, m
+            tables = [tab[r] for r in live_kids]
+            m = a | b
+            if m:
+                shift = sum(val[i] for i in mask_bits(a & support))
+                tables.insert(0, {shift: add_node(out, AND, (), a, b)})
+            for r in live_kids:
+                m |= vm[r]
+            table = tables.pop()
+            while tables:
+                table = conv(tables.pop(), table)
+            tab[nid], vm[nid] = table, m
         elif kind == OR:
-            live = []
-            for ch in kids[nid]:
-                r = rep[ch]
-                if r == FOLD_TRUE:
-                    rep[nid] = FOLD_TRUE
-                    break
-                if r != FOLD_FALSE:
-                    live.append(r)
-            else:
-                if len(live) > 1:
-                    live = list(dict.fromkeys(live))
-                if len(live) < 2:
-                    rep[nid] = live[0] if live else FOLD_FALSE
-                    continue
-                m = 0
-                for r in live:
-                    m |= vm[r]
-                alts: dict = {}
-                for r in live:
-                    table = tab[r]
-                    missing = m ^ vm[r]
-                    if missing:
-                        table = conv(table, pad(missing))
-                        size += missing.bit_count() + 2
-                    for s, x in table.items():
-                        alts.setdefault(s, []).append(x)
-                rep[nid], tab[nid], vm[nid] = nid, selectors(alts, pos[nid]), m
-        elif kind == TRUE:
-            rep[nid] = FOLD_TRUE
-    r = rep[out]
+            m = 0
+            for r in live_kids:
+                m |= vm[r]
+            alts: dict = {}
+            for r in live_kids:
+                table = tab[r]
+                missing = m ^ vm[r]
+                if missing:
+                    table = conv(table, pad(missing))
+                    size += missing.bit_count() + 2
+                for s, x in table.items():
+                    alts.setdefault(s, []).append(x)
+            tab[nid], vm[nid] = selectors(alts, a), m
     missing = (1 << n) - 1
-    if r == FOLD_FALSE:
+    if root == FOLD_FALSE:
         table = {}
-    elif r == FOLD_TRUE:
-        table = pad(missing) if missing else {0: add(TRUE, (), 0, 0)}
+    elif root == FOLD_TRUE:
+        table = pad(missing) if missing else {0: add_node(out, TRUE)}
     else:
-        table = tab[r]
-        missing ^= vm[r]
+        table = tab[root]
+        missing ^= vm[root]
         if missing:
             table = conv(table, pad(missing))
-    if r != FOLD_FALSE and missing:
+    if root != FOLD_FALSE and missing:
         size += missing.bit_count() + 2
-    return (okinds, okids, opos, oneg), table, size
-
-
-def _append(columns: tuple, kind, kids: tuple = (), marker=0) -> int:
-    kinds, ks, pos, neg = columns
-    kinds.append(kind)
-    ks.append(kids)
-    pos.append(marker)
-    neg.append(0)
-    return len(kinds) - 1
+    return out, table, size
 
 
 def _finish(c: NnfCircuit, columns: tuple, output: int, size: int, p: int) -> NnfCircuit:
@@ -298,9 +227,9 @@ def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tu
     roots = []
     for i in range(p + 1):
         if i not in table and false is None:
-            false = _append(columns, FALSE)
+            false = add_node(columns, FALSE)
         roots.append(table.get(i, false))
-    output = _append(columns, OR, tuple(table.values()), marker)
+    output = add_node(columns, OR, tuple(table.values()), marker)
     return _finish(c, columns, output, size, p), tuple(roots)
 
 
@@ -310,7 +239,7 @@ def restrict_cardinality(c: NnfCircuit, spec: CardinalitySpec) -> NnfCircuit:
     An empty admissible set yields a circuit with no models.
     """
     columns, table, size, marker = _counted_copies(c, spec.variables)
-    output = _append(columns, OR, tuple(table[s] for s in sorted(spec.sums)
+    output = add_node(columns, OR, tuple(table[s] for s in sorted(spec.sums)
                                         if s in table), marker)
     return _finish(c, columns, output, size, len(spec.variables))
 
@@ -337,6 +266,6 @@ def knapsack_transform(c: NnfCircuit, coeffs: Mapping, lower: int, upper: int) -
     marker = ("#wsum", tuple(sorted(((v, cv) for v, cv in coeffs.items()),
                                     key=lambda t: order[t[0]])))
     columns, table, size = _indexed_copies(c, coeffs, marker)
-    output = _append(columns, OR, tuple(x for s, x in table.items()
+    output = add_node(columns, OR, tuple(x for s, x in table.items()
                                         if lower <= s <= upper), marker)
     return _finish(c, columns, output, size, sum(map(abs, coeffs.values())))

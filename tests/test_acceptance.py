@@ -5,6 +5,7 @@ evidence.  Criterion 8 enforces its stated wall-clock budget on a real
 subprocess pipeline.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -19,20 +20,19 @@ from corpus import worked_example, random_cycle_hypergraph, random_hypergraph
 from nnfopt import (CardinalitySpec, CompileConfig, WeightFunction,
                     beta_elimination_order, brute_force, build_system,
                     certificate_point, certificate_tree_cost, compile_formula,
-                    counting_transform, cycle_decomposition, dual_optimize,
+                    compile_instance, counting_transform, cycle_decomposition,
+                    dual_optimize,
                     encode_basic, encode_ordered, enumerate_certificates,
                     enumerate_models, formula_hypergraph, gen_labs,
                     incidence_graph, is_beta_acyclic, knapsack_transform,
                     lift_decomposition, minfill_decomposition, model_count,
                     normalize_for_extform, optimize, parse_instance,
                     project_solution, restrict_cardinality, reroot, top_k,
-                    tu_counterexample_check, weight_edge_costs,
+                    to_nnf_text, tu_counterexample_check, weight_edge_costs,
                     weights_from_profits)
 from nnfopt.circuit import FALSE
-from nnfopt.cli import _compile_parsed
 from nnfopt.cnf import CnfVariable
 from nnfopt.hypergraph import Hypergraph, LiteralInstance
-from nnfopt.instances import ParsedInstance
 
 PASS = "PASS criterion {}: {}"
 
@@ -54,8 +54,7 @@ def corpus_instance(rng: random.Random) -> LiteralInstance:
 
 
 def solve_instance(inst: LiteralInstance):
-    parsed = ParsedInstance(inst, Fraction(0), "max", None)
-    circuit = _compile_parsed(parsed, "auto")
+    circuit = compile_instance(inst)
     opt = optimize(circuit, weights_from_profits(inst))
     return circuit, opt
 
@@ -217,6 +216,20 @@ class TestCriterion6ExtendedFormulation:
             assert value == optimize(base, w).value
         print(PASS.format(6, "system reproduction, determinant 2, certificate "
                              "bijection and exact duality on the corpus"))
+
+    def test_normal_forms_pinned_on_500(self, solved_corpus):
+        # the normalized and relayed circuits of the 500 compiled corpus
+        # circuits, node for node; a rewrite of either pass must keep them
+        corpus, _ = solved_corpus
+        digest = hashlib.sha256()
+        for inst, circuit, _opt in corpus:
+            norm = normalize_for_extform(circuit)
+            relayed, _cost = weight_edge_costs(norm, weights_from_profits(inst))
+            digest.update(to_nnf_text(norm).encode())
+            digest.update(to_nnf_text(relayed).encode())
+        assert digest.hexdigest() == \
+            "dcc6131d5d5ff5a7396475016396288c176db4aaeffd7bc832b274cc5c665d59"
+        print(PASS.format(6, "normal forms of the 500 corpus circuits unchanged"))
 
     def test_highs_lp_optimum_on_100_corpus_instances(self, solved_corpus):
         # the extended formulation is exact, checked by an LP solver that

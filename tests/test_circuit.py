@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (FIG_DDNNF_ROWS, all_assignments, circuit_corpus, fig_ddnnf,
                     random_formula, random_instance, sat_assignments, worked_example)
-from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, binarize_and,
-                    check_structure, compile_formula, encode_basic,
-                    enumerate_models, evaluate, from_nnf_text, model_count,
-                    normalize_for_extform, reroot, smooth, to_nnf_text)
+from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
+                    compile_formula, encode_basic, enumerate_models, evaluate,
+                    from_nnf_text, model_count, normalize_for_extform, reroot,
+                    smooth_binary_form, to_nnf_text)
 from nnfopt import NnfCircuit, optimize, weights_from_profits
-from nnfopt.circuit import AND, LIT, OR, check_normalized, pad_to_universe
+from nnfopt.circuit import AND, LIT, OR, check_normalized
 
 
 def rows_of(c):
@@ -76,67 +78,6 @@ class TestCheckStructure:
         assert not check_structure(b.finish(out)).deterministic
 
 
-class TestSmooth:
-    def test_idempotent_on_figure(self):
-        c = fig_ddnnf()
-        s1 = smooth(c)
-        assert rows_of(s1) == rows_of(c)
-        s2 = smooth(s1)
-        assert [n[0] for n in s1.nodes] == [n[0] for n in s2.nodes]
-        assert check_structure(s1).smooth
-
-    def test_or_with_true_child(self):
-        b = CircuitBuilder(("x",))
-        out = b.add_or((b.literal("x", True), b.true()), None)
-        c = b.finish(out)
-        s = smooth(c)
-        assert rows_of(s) == rows_of(c) == {(0,), (1,)}
-
-    def test_smooths_uneven_or(self):
-        b = CircuitBuilder(("x", "y"))
-        out = b.add_or((b.literal("x", True),
-                        b.add_and((b.literal("x", False), b.literal("y", True)))), "x")
-        c = b.finish(out)
-        s = smooth(c)
-        rep = check_structure(s)
-        assert rep.smooth and rep.decomposable and rep.deterministic
-        assert rows_of(s) == rows_of(c)
-
-    def test_size_bound(self):
-        rng = random.Random(3)
-        for c in circuit_corpus(rng, count=6):
-            s = smooth(c)
-            assert s.edge_count <= max(1, c.edge_count) * (1 + len(c.variables)) + \
-                3 * len(c.variables)
-
-
-class TestBinarize:
-    def test_ternary_and(self):
-        b = CircuitBuilder(("x", "y", "z"))
-        out = b.add_and((b.literal("x", True), b.literal("y", True),
-                         b.literal("z", True)))
-        c = b.finish(out)
-        bc = binarize_and(c)
-        assert all(len(n[1]) <= 2 for n in bc.nodes if n[0] == AND)
-        assert rows_of(bc) == rows_of(c)
-        assert bc.edge_count <= 2 * c.edge_count
-
-    def test_unary_and_kept(self):
-        b = CircuitBuilder(("x",))
-        out = b.add_and((b.literal("x", True),))
-        c = b.finish(out)
-        assert rows_of(binarize_and(c)) == rows_of(c)
-
-    def test_random_circuits_preserved(self):
-        rng = random.Random(8)
-        for c in circuit_corpus(rng, count=6):
-            bc = binarize_and(c)
-            assert all(len(n[1]) <= 2 for n in bc.nodes if n[0] == AND)
-            assert rows_of(bc) == rows_of(c)
-            rep = check_structure(bc)
-            assert rep.decomposable and rep.deterministic
-
-
 class TestNormalizeForExtform:
     def test_literal_output_wrapped(self):
         b = CircuitBuilder(("x",))
@@ -179,6 +120,72 @@ class TestNormalizeForExtform:
             n = normalize_for_extform(c)
             check_normalized(n)
             assert rows_of(n) == rows_of(c)
+
+    def test_idempotent_on_figure(self):
+        n1 = normalize_for_extform(fig_ddnnf())
+        n2 = normalize_for_extform(n1)
+        check_normalized(n1)
+        assert rows_of(n1) == rows_of(fig_ddnnf())
+        assert [n[0] for n in n1.nodes] == [n[0] for n in n2.nodes]
+
+    def test_or_with_true_child(self):
+        b = CircuitBuilder(("x",))
+        c = b.finish(b.add_or((b.literal("x", True), b.true()), None))
+        n = normalize_for_extform(c)
+        check_normalized(n)
+        assert rows_of(n) == rows_of(c) == {(0,), (1,)}
+
+    def test_smooths_uneven_or(self):
+        b = CircuitBuilder(("x", "y"))
+        out = b.add_or((b.literal("x", True),
+                        b.add_and((b.literal("x", False), b.literal("y", True)))), "x")
+        c = b.finish(out)
+        n = normalize_for_extform(c)
+        rep = check_structure(n)
+        assert rep.smooth and rep.decomposable and rep.deterministic
+        assert rows_of(n) == rows_of(c)
+
+    def test_free_output_variables_padded(self):
+        b = CircuitBuilder(("x", "y"))
+        c = b.finish(b.literal("x", True))
+        n = normalize_for_extform(c)
+        assert n.var_sets[n.output] == frozenset(("x", "y"))
+        assert rows_of(n) == rows_of(c)
+
+    def test_size_bound(self):
+        rng = random.Random(3)
+        for c in circuit_corpus(rng, count=6):
+            n = normalize_for_extform(c)
+            assert n.edge_count <= max(1, c.edge_count) * (1 + len(c.variables)) + \
+                3 * len(c.variables)
+
+
+class TestSmoothBinaryForm:
+    def test_contract_on_corpus(self):
+        rng = random.Random(8)
+        for c in circuit_corpus(rng, count=6):
+            s = smooth_binary_form(c)
+            assert all(len(n[1]) <= 2 for n in s.nodes if n[0] == AND)
+            rep = check_structure(s)
+            assert rep.smooth and rep.decomposable and rep.deterministic
+            rows = rows_of(c)
+            assert rows_of(s) == rows
+            if rows:    # an unsatisfiable circuit mentions no variable
+                assert s.var_sets[s.output] == frozenset(c.variables)
+
+    def test_ternary_and(self):
+        b = CircuitBuilder(("x", "y", "z"))
+        c = b.finish(b.add_and((b.literal("x", True), b.literal("y", True),
+                                b.literal("z", True))))
+        s = smooth_binary_form(c)
+        assert all(len(n[1]) <= 2 for n in s.nodes if n[0] == AND)
+        assert rows_of(s) == rows_of(c) == {(1, 1, 1)}
+        assert s.edge_count <= 2 * c.edge_count
+
+    def test_unary_and_kept(self):
+        b = CircuitBuilder(("x",))
+        c = b.finish(b.add_and((b.literal("x", True),)))
+        assert rows_of(smooth_binary_form(c)) == rows_of(c) == {(1,)}
 
 
 class TestCounting:
@@ -259,12 +266,43 @@ class TestNnfText:
         with pytest.raises(ValueError):
             model_count(c)
 
-    def test_pad_to_universe_mentions_all(self):
-        b = CircuitBuilder(("x", "y"))
-        c = b.finish(b.literal("x", True))
-        p = pad_to_universe(c)
-        assert p.var_sets[p.output] == frozenset(("x", "y"))
-        assert rows_of(p) == rows_of(c)
+
+NNF_TAGS = ["L", "A", "O", "X", "c", "nnf"]
+small = st.integers(-3, 7)
+ids = st.lists(small, max_size=3)
+nnf_lines = st.one_of(
+    st.lists(st.one_of(st.sampled_from(NNF_TAGS), small.map(str)), max_size=6).map(" ".join),
+    small.map("L {}".format),
+    ids.map(lambda ks: " ".join(map(str, ["A", len(ks), *ks]))),
+    st.tuples(small, ids).map(lambda t: " ".join(map(str, ["O", t[0], len(t[1]), *t[1]]))))
+nnf_text = st.one_of(
+    st.tuples(st.tuples(*[st.integers(-1, 6)] * 3), st.lists(nnf_lines, max_size=6)).map(
+        lambda t: "\n".join(["nnf %d %d %d" % t[0]] + t[1])),
+    st.text(max_size=40))
+
+
+class TestNnfTextFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nnf_text)
+    def test_malformed_text_raises_only_value_errors(self, text):
+        try:
+            c = from_nnf_text(text)
+        except ValueError:
+            return
+        canonical = to_nnf_text(c)
+        assert to_nnf_text(from_nnf_text(canonical)) == canonical
+
+    def test_decision_index_out_of_range_rejected(self):
+        for d in (3, 5, -1):
+            with pytest.raises(ValueError, match="decision"):
+                from_nnf_text(f"nnf 3 2 2\nL 1\nL 2\nO {d} 2 0 1\n")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_round_trip_is_identity(self, seed):
+        for c in circuit_corpus(random.Random(seed), count=2):
+            text = to_nnf_text(c)
+            assert to_nnf_text(from_nnf_text(text, c.variables)) == text
 
 
 class TestLiteralBlocks:

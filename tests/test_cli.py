@@ -1,3 +1,4 @@
+import hashlib
 import io
 import sys
 
@@ -206,12 +207,41 @@ class TestCompile:
         assert code == 2
 
 
+CYCLIC_TEXT = "2 v1 v2\n-1 v2 v3\n3 v3 v1\n1 v1 v2 v3\n"
+FRACTIONAL_TEXT = "17/3 v1 v2\n-1 v2 v3\n5/2 v3\n"
+
+# SHA-256 of the LP text `nnfopt extform` writes; rewrites of the normal
+# form and of the system extraction must keep these bytes unchanged
+EXTFORM_SHA256 = {
+    "worked": "1ebbf1558d565dc88a025df2d8fff96eb5926403f8119f2171e0f73732f9bbfa",
+    "labs-8-3": "970ecce1284e9836333bbd59ffb0c9e37af7be2dc637241badf78096f950abf0",
+    "cyclic": "9376fc5aefb71e881683d58017d944544c202ccf54adbd0cd8778499b8d87329",
+    "fractional-scaled":
+        "cd42fc7f5c38375c1be103deefa12c01adde1d4952dbb01f2198c21e561b7ec1",
+}
+
+
 class TestExtform:
     def test_emit_lp(self, capsys, example):
         code, out = run(capsys, "extform", example)
         assert code == 0
         assert out.splitlines()[1] == "Maximize"
         assert "Subject To" in out and out.rstrip().endswith("End")
+
+    @pytest.mark.parametrize("name", sorted(EXTFORM_SHA256))
+    def test_lp_bytes_pinned(self, capsys, example, name):
+        if name == "worked":
+            code, out = run(capsys, "extform", example)
+        elif name == "labs-8-3":
+            _, labs = run(capsys, "gen-labs", "8", "3")
+            code, out = run(capsys, "extform", "-", stdin=labs)
+        elif name == "cyclic":
+            code, out = run(capsys, "extform", "-", stdin=CYCLIC_TEXT)
+        else:
+            code, out = run(capsys, "extform", "--scale-objective", "-",
+                            stdin=FRACTIONAL_TEXT)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXTFORM_SHA256[name]
 
     def test_fractional_objective_needs_scaling(self, capsys, tmp_path):
         p = tmp_path / "f.poly"
@@ -223,7 +253,7 @@ class TestExtform:
 
     def test_non_decimal_profit_is_a_clean_error(self, capsys, tmp_path):
         p = tmp_path / "f.poly"
-        p.write_text("17/3 v1 v2\n-1 v2 v3\n5/2 v3\n")
+        p.write_text(FRACTIONAL_TEXT)
         assert main(["extform", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -280,6 +310,14 @@ class TestExitCodes:
         p.write_text("1 frog\n")
         code, _ = run(capsys, "solve", str(p))
         assert code == 2
+
+    def test_zero_denominator_is_two(self, capsys, tmp_path):
+        p = tmp_path / "zero.poly"
+        p.write_text("1/0 v1\n")
+        code = main(["solve", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: line 1: bad coefficient '1/0'\n"
 
     def test_missing_file_is_two(self, capsys, tmp_path):
         code, _ = run(capsys, "solve", str(tmp_path / "nope.poly"))

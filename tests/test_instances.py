@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import WORKED_TEXT, worked_example, poly_points_sorted, random_instance
 from nnfopt import (GuardViolation, Hypergraph, ParseError, brute_force,
@@ -55,6 +57,12 @@ class TestParseInstance:
             with pytest.raises(ParseError):
                 parse_instance(bad)
 
+    def test_zero_denominator_and_huge_numbers_are_parse_errors(self):
+        for bad in ("1/0 v1\n", "1e99999999 v1\n", "1E-9999_9999 v1\n",
+                    "1 v" + "9" * 5000 + "\n"):
+            with pytest.raises(ParseError):
+                parse_instance(bad)
+
     def test_zero_coefficient_warns_but_keeps_edge(self, caplog):
         import logging
         with caplog.at_level(logging.WARNING):
@@ -86,6 +94,57 @@ class TestParseInstance:
             assert q.instance.hypergraph.edges == inst.hypergraph.edges
             assert q.instance.sigma == inst.sigma
             assert q.instance.profit == inst.profit
+
+
+FUZZ_TOKENS = ["1", "-2", "3/4", "1/0", "0", "0.5", "-1.25e2", "1e99999", "nan",
+               "x", "v1", "v2", "~v1", "~v3", "v0", "v", "~", "vv1", "v-1", "v²",
+               "#card", "#minimize", "#maximize", "#", "#card 1,2", "#card x",
+               "#card -1", "1,2", "\t"]
+fuzz_lines = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join)
+fuzz_text = st.one_of(st.lists(fuzz_lines, max_size=6).map("\n".join),
+                      st.text(max_size=40))
+
+
+@st.composite
+def instance_texts(draw):
+    """Well-formed polynomial text with irregular spacing and directives."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["#minimize", "#maximize", "#MINIMIZE"])))
+    used: set = set()
+    for _ in range(draw(st.integers(0, 5))):
+        vs = draw(st.lists(st.integers(1, 6), min_size=0, max_size=4, unique=True))
+        used.update(vs)
+        num, den = draw(st.integers(-20, 20)), draw(st.integers(1, 6))
+        coeff = draw(st.sampled_from([f"{num}/{den}", str(num), f"{num}.5"]))
+        toks = [coeff] + [draw(st.sampled_from([f"v{v}", f"~v{v}"])) for v in vs]
+        lines.append(draw(st.sampled_from([" ", "  ", "\t"])).join(toks))
+    if draw(st.booleans()):
+        sums = draw(st.lists(st.integers(0, len(used)), min_size=1, max_size=3))
+        lines.insert(0, "#card " + ",".join(map(str, sums)))
+    return "\n".join(lines) + "\n"
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fuzz_text)
+    def test_malformed_text_raises_only_parse_errors(self, text):
+        try:
+            parse_instance(text)
+        except ParseError:
+            pass
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instance_texts())
+    def test_format_round_trip_is_identity(self, text):
+        p = parse_instance(text)
+        canonical = format_instance(p)
+        q = parse_instance(canonical)
+        assert format_instance(q) == canonical
+        assert (q.sense, q.offset, q.card_sums) == (p.sense, p.offset, p.card_sums)
+        assert q.instance.hypergraph.vertices == p.instance.hypergraph.vertices
+        assert q.instance.hypergraph.edges == p.instance.hypergraph.edges
+        assert (q.instance.sigma, q.instance.profit) == (p.instance.sigma, p.instance.profit)
 
 
 class TestBruteForce:
