@@ -1,7 +1,8 @@
 """Command-line surface: end-to-end pipelines over polynomial files.
 
-Exit codes: 0 on success, 2 on parse errors (argparse uses the same), 3
-when a size guard refuses the run.  All output is deterministic byte for
+Exit codes: 0 on success, 2 on parse errors and bad flag values, which
+are checked before compiling (argparse uses the same), 3 when a size
+guard refuses the run.  All output is deterministic byte for
 byte given identical inputs and flags.
 """
 
@@ -30,11 +31,20 @@ def _x_variables(inst: LiteralInstance) -> tuple[CnfVariable, ...]:
     return tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
 
 
-def _parse_sums(text: str) -> frozenset:
+def _card_sums(text: Optional[str], parsed: ParsedInstance) -> Optional[frozenset]:
+    """The sums of --card-set/--set, else the file's #card.  Like #card,
+    each sum must lie in 0..#vertices."""
+    if not text:
+        return parsed.card_sums
     try:
-        return frozenset(int(tok) for tok in text.split(","))
+        sums = frozenset(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sum set {text!r}") from exc
+    n = len(parsed.instance.hypergraph.vertices)
+    bad = sorted(s for s in sums if not 0 <= s <= n)
+    if bad:
+        raise ParseError(f"sum set {text!r} has sums outside 0..{n}: {bad}")
+    return sums
 
 
 def _parse_knapsack(text: str, inst: LiteralInstance) -> tuple[int, int, dict]:
@@ -46,6 +56,8 @@ def _parse_knapsack(text: str, inst: LiteralInstance) -> tuple[int, int, dict]:
         coeffs = [int(tok) for tok in parts[2].split(",")]
     except ValueError as exc:
         raise ParseError(f"bad knapsack spec {text!r}") from exc
+    if lower > upper:
+        raise ParseError(f"empty knapsack interval {lower}:{upper}")
     verts = inst.hypergraph.vertices
     if len(coeffs) != len(verts):
         raise ParseError(f"knapsack needs {len(verts)} coefficients, got {len(coeffs)}")
@@ -74,12 +86,13 @@ def _print_optimum(parsed: ParsedInstance, value, point: Optional[dict]) -> None
 def _cmd_solve(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
+    sums = _card_sums(args.card_set, parsed)
+    knapsack = _parse_knapsack(args.knapsack, inst) if args.knapsack else None
     circuit = compile_instance(inst, args.encoding)
-    sums = _parse_sums(args.card_set) if args.card_set else parsed.card_sums
     if sums is not None:
         circuit = restrict_cardinality(circuit, CardinalitySpec(_x_variables(inst), sums))
-    if args.knapsack:
-        lower, upper, coeffs = _parse_knapsack(args.knapsack, inst)
+    if knapsack is not None:
+        lower, upper, coeffs = knapsack
         circuit = knapsack_transform(circuit, coeffs, lower, upper)
     opt = optimize(circuit, weights_from_profits(inst))
     point = project_solution(opt.witness, inst) if opt.witness is not None else None
@@ -90,8 +103,8 @@ def _cmd_solve(args) -> int:
 def _cmd_topk(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
+    sums = _card_sums(args.card_set, parsed)
     circuit = compile_instance(inst, args.encoding)
-    sums = _parse_sums(args.card_set) if args.card_set else parsed.card_sums
     if sums is not None:
         circuit = restrict_cardinality(circuit, CardinalitySpec(_x_variables(inst), sums))
     best = top_k(circuit, weights_from_profits(inst), args.k)
@@ -146,7 +159,7 @@ def _cmd_extform(args) -> int:
 
 def _cmd_oracle(args) -> int:
     parsed = parse_instance(_read_text(args.file))
-    sums = _parse_sums(args.card_set) if args.card_set else parsed.card_sums
+    sums = _card_sums(args.card_set, parsed)
     best = brute_force(parsed.instance, sums, k=args.k)
     if not best:
         print("infeasible")

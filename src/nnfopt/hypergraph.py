@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -454,46 +455,68 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     """Tree decomposition from min-fill elimination, lowest node on ties.
 
     The width is only an upper bound on the treewidth of g.  Nodes are
-    relabeled to integers internally and fill counts are refreshed only
-    where an elimination changed a neighborhood.
+    relabeled to integers in sorted order, and the node eliminated next
+    is the live one with the least (fill, index).  It comes off a binary
+    heap of (fill, index) entries: an entry is pushed whenever a fill
+    changes, and a popped entry whose node is dead or whose fill is no
+    longer current is skipped.
+
+    Fill stays exact without recounting a neighbourhood.  Each node keeps
+    ``inner``, the number of edges among its neighbours, so its fill is
+    deg*(deg-1)/2 - inner.  Eliminating v first adds the missing edges
+    among its neighbours N; a new edge (a, b) adds one to ``inner`` of
+    every common neighbour of a and b, and adds their number to ``inner``
+    of a and of b.  Removing v then takes |N| - 1 from ``inner`` of each
+    node of N, since N is a clique by then.  Only N and those common
+    neighbours can change fill.
     """
     if g.node_count == 0:
         return TreeDecomposition({0: frozenset()}, [])
     names = sorted(g.nodes)
     index = {n: i for i, n in enumerate(names)}
-    adj = [set(index[m] for m in g.neighbors(n)) for n in names]
-
-    def fill_of(u: int) -> int:
-        nb = adj[u]
-        k = len(nb)
-        if k < 2:
-            return 0
-        present = sum(len(adj[w] & nb) for w in nb) // 2
-        return k * (k - 1) // 2 - present
-
-    fill = {u: fill_of(u) for u in range(len(names))}
-    alive = set(range(len(names)))
+    adj = [{index[m] for m in g._adj[n]} for n in names]
+    inner = [sum(len(adj[w] & nb) for w in nb) // 2 for nb in adj]
+    fill = [len(nb) * (len(nb) - 1) // 2 - e for nb, e in zip(adj, inner)]
+    heap = [(f, u) for u, f in enumerate(fill)]
+    heapify(heap)
+    alive = [True] * len(names)
     order: list[int] = []
     cliques: list[tuple] = []
-    while alive:
-        best = min(alive, key=lambda u: (fill[u], u))
-        nb = sorted(adj[best])
-        dirty = set(nb)
-        for ai, a in enumerate(nb):
-            for b in nb[ai + 1:]:
-                if b not in adj[a]:
-                    dirty |= adj[a] & adj[b]
+    while heap:
+        f, v = heappop(heap)
+        if not alive[v] or f != fill[v]:
+            continue
+        nb = adj[v]
+        touched = set(nb)
+        missing = f
+        for a in nb:
+            if not missing:
+                break
+            for b in nb - adj[a]:
+                if b != a:
+                    common = adj[a] & adj[b]
+                    inner[a] += len(common)
+                    inner[b] += len(common)
+                    for w in common:
+                        inner[w] += 1
+                    touched |= common
                     adj[a].add(b)
                     adj[b].add(a)
+                    missing -= 1
+        alive[v] = False
+        shared = len(nb) - 1
         for u in nb:
-            adj[u].discard(best)
-        alive.discard(best)
-        del fill[best]
-        for u in dirty:
-            if u in alive:
-                fill[u] = fill_of(u)
-        order.append(best)
-        cliques.append(tuple(nb))
+            adj[u].discard(v)
+            inner[u] -= shared
+        for u in touched:
+            if alive[u]:
+                d = len(adj[u])
+                f = d * (d - 1) // 2 - inner[u]
+                if f != fill[u]:
+                    fill[u] = f
+                    heappush(heap, (f, u))
+        order.append(v)
+        cliques.append(tuple(sorted(nb)))
 
     # Bags in reverse elimination order; attach each to the bag of the
     # first-eliminated member of its clique, whose bag must contain it.

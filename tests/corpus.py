@@ -112,6 +112,22 @@ def random_instance(rng: random.Random, max_v: int = 10, max_e: int = 15,
     return LiteralInstance(Hypergraph(verts, edges), tuple(sigmas), tuple(profits))
 
 
+def corpus_instance(rng: random.Random) -> LiteralInstance:
+    """The acceptance corpus distribution: up to 10 vertices, 15 edges of
+    size at most 5, rational profits in [-9, 9], random polarities."""
+    nv = rng.randint(1, 10)
+    ne = rng.randint(1, 15)
+    verts = list(range(1, nv + 1))
+    edges, sigmas, profits = [], [], []
+    for _ in range(ne):
+        e = rng.sample(verts, rng.randint(1, min(5, nv)))
+        edges.append(frozenset(e))
+        sigmas.append({v: rng.randint(0, 1) for v in e})
+        d = rng.randint(1, 4)
+        profits.append(Fraction(rng.randint(-9 * d, 9 * d), d))
+    return LiteralInstance(Hypergraph(verts, edges), tuple(sigmas), tuple(profits))
+
+
 def random_hypergraph(rng: random.Random, max_v: int = 8, max_e: int = 8) -> Hypergraph:
     nv = rng.randint(1, max_v)
     verts = list(range(1, nv + 1))

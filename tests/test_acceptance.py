@@ -16,7 +16,8 @@ from math import comb
 
 import pytest
 
-from corpus import worked_example, random_cycle_hypergraph, random_hypergraph
+from corpus import corpus_instance, worked_example, random_cycle_hypergraph, \
+    random_hypergraph
 from nnfopt import (CardinalitySpec, CompileConfig, WeightFunction,
                     beta_elimination_order, brute_force, build_system,
                     certificate_point, certificate_tree_cost, compile_formula,
@@ -35,22 +36,6 @@ from nnfopt.cnf import CnfVariable
 from nnfopt.hypergraph import Hypergraph, LiteralInstance
 
 PASS = "PASS criterion {}: {}"
-
-
-def corpus_instance(rng: random.Random) -> LiteralInstance:
-    """The acceptance corpus distribution: up to 10 vertices, 15 edges of
-    size at most 5, rational profits in [-9, 9], random polarities."""
-    nv = rng.randint(1, 10)
-    ne = rng.randint(1, 15)
-    verts = list(range(1, nv + 1))
-    edges, sigmas, profits = [], [], []
-    for _ in range(ne):
-        e = rng.sample(verts, rng.randint(1, min(5, nv)))
-        edges.append(frozenset(e))
-        sigmas.append({v: rng.randint(0, 1) for v in e})
-        d = rng.randint(1, 4)
-        profits.append(Fraction(rng.randint(-9 * d, 9 * d), d))
-    return LiteralInstance(Hypergraph(verts, edges), tuple(sigmas), tuple(profits))
 
 
 def solve_instance(inst: LiteralInstance):

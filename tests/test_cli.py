@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from corpus import WORKED_TEXT
+from nnfopt import cli
 from nnfopt.cli import main
 from nnfopt import from_nnf_text
 
@@ -322,6 +323,32 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys, tmp_path):
         code, _ = run(capsys, "solve", str(tmp_path / "nope.poly"))
         assert code == 2
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv,message", [
+        (["card", "--set", "99"], "sum set '99' has sums outside 0..6: [99]"),
+        (["solve", "--card-set", "0,99"], "sum set '0,99' has sums outside 0..6: [99]"),
+        (["topk", "--k", "2", "--card-set", "7"], "sum set '7' has sums outside 0..6: [7]"),
+        (["oracle", "--card-set", "-1"], "sum set '-1' has sums outside 0..6: [-1]"),
+        (["solve", "--knapsack", "5:1:1,1,1,1,1,1"], "empty knapsack interval 5:1"),
+        (["solve", "--card-set", "2", "--knapsack", "3:2:1,1,1,1,1,1"],
+         "empty knapsack interval 3:2"),
+    ])
+    def test_bad_value_is_one_line_before_compiling(self, capsys, monkeypatch, example,
+                                                    argv, message):
+        def no_compile(*args):
+            raise AssertionError("compiled before the flag values were checked")
+
+        monkeypatch.setattr(cli, "compile_instance", no_compile)
+        assert main(argv + [example]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_extreme_sums_accepted(self, capsys, example):
+        code, out = run(capsys, "card", "--set", "0,6", example)
+        assert code == 0 and out.splitlines()[0] == "optimum 6"
 
 
 class TestDegenerateInstances:

@@ -1,13 +1,18 @@
+import hashlib
 import random
+import sys
 
 import pytest
 
-from corpus import (exhaustive_beta_acyclic, worked_example, random_cycle_hypergraph,
-                    random_hypergraph)
+from corpus import (corpus_instance, exhaustive_beta_acyclic, worked_example,
+                    random_cycle_hypergraph, random_hypergraph)
+from minfill_reference import minfill_decomposition_reference
 from nnfopt import (Graph, Hypergraph, TreeDecomposition, beta_elimination_order,
-                    cycle_decomposition, incidence_graph, is_beta_acyclic,
+                    cycle_decomposition, encode_basic, formula_incidence_graph,
+                    gen_labs, incidence_graph, is_beta_acyclic,
                     is_valid_elimination_order, lift_decomposition,
-                    minfill_decomposition)
+                    minfill_decomposition, order_from_decomposition,
+                    parse_instance)
 from nnfopt.hypergraph import encoding_incidence_graph
 
 
@@ -145,6 +150,107 @@ class TestMinfill:
         td.validate(g)
         td0 = minfill_decomposition(Graph())
         assert td0.width <= 0
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    g = Graph(range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    return g
+
+
+def labs_graph(n: int) -> Graph:
+    """Incidence graph of the basic encoding of gen-labs n 3, the graph
+    the auto path orders."""
+    return formula_incidence_graph(encode_basic(parse_instance(gen_labs(n, 3)).instance))
+
+
+def traced_lines(fn, *args) -> int:
+    """Python lines executed in fn's module while fn runs: a deterministic
+    work count that includes every comprehension and lambda there."""
+    target = fn.__code__.co_filename
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == target else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestMinfillMatchesReference:
+    """The incremental min-fill returns the bags and tree of the frozen
+    scan-and-recount reference in tests/minfill_reference.py."""
+
+    def assert_same(self, g: Graph) -> None:
+        got, want = minfill_decomposition(g), minfill_decomposition_reference(g)
+        assert got.bags == want.bags
+        assert got.tree == want.tree
+
+    def test_random_graphs(self):
+        rng = random.Random(606)
+        self.assert_same(Graph())
+        self.assert_same(Graph(range(7)))
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            self.assert_same(random_graph(rng, n, rng.choice((0.05, 0.1, 0.3, 0.6, 0.9))))
+        for _ in range(30):
+            # disjoint random pieces under interleaved labels
+            g = Graph()
+            for part in range(rng.randint(2, 4)):
+                piece = random_graph(rng, rng.randint(1, 12), 0.4)
+                for u in piece.nodes:
+                    g.add_node((u, part))
+                for u, v in piece.edges():
+                    g.add_edge((u, part), (v, part))
+            self.assert_same(g)
+
+    def test_acceptance_corpus_incidence_graphs(self):
+        rng = random.Random(20250809)
+        for _ in range(500):
+            inst = corpus_instance(rng)
+            self.assert_same(incidence_graph(inst.hypergraph))
+            self.assert_same(formula_incidence_graph(encode_basic(inst)))
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_labs(self, n):
+        self.assert_same(labs_graph(n))
+
+    @pytest.mark.parametrize("n,digest", [
+        (12, "b5219819419a5dea649f25091e191b58c620beb55b3e97f506d3411a93516c46"),
+        (16, "1991e9b7b8ba41354ff95102ed1c7ffd6d0e191f81d582ab9abae4a3d108b295"),
+    ])
+    def test_labs_branch_order_pinned(self, n, digest):
+        order = order_from_decomposition(minfill_decomposition(labs_graph(n)))
+        assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family", ["path", "cycle of triples"])
+    def test_work_grows_linearly(self, family):
+        # Both families have width at most 3, so an elimination costs O(1)
+        # unless the next node is found by scanning the live nodes, which
+        # makes the count grow 4x per doubling.
+        counts = []
+        for n in (100, 200, 400):
+            if family == "path":
+                h = Hypergraph(range(n), [{i, i + 1} for i in range(n - 1)])
+            else:
+                h = Hypergraph(range(n), [{i, (i + 1) % n, (i + 2) % n} for i in range(n)])
+            counts.append(traced_lines(minfill_decomposition, incidence_graph(h)))
+        for small, large in zip(counts, counts[1:]):
+            assert large < 2.5 * small, counts
 
 
 class TestLiftDecomposition:
