@@ -459,7 +459,7 @@ def check_structure(c: NnfCircuit) -> StructureReport:
 FOLD_FALSE, FOLD_TRUE = -1, -2
 
 
-def fold_constants(c: NnfCircuit) -> tuple[list, int]:
+def fold_constants(c: NnfCircuit) -> tuple[tuple, int]:
     """Constant folding on the columnar view, without writing a node.
 
     Returns (live, root).  live lists the nodes that stay, ascending, as
@@ -472,8 +472,13 @@ def fold_constants(c: NnfCircuit) -> tuple[list, int]:
     one-literal block becomes the And's first child; a gate left with one
     child and no block folds to that child, and with none to its
     constant.  root is the output's representative: a live node id,
-    FOLD_FALSE or FOLD_TRUE.
+    FOLD_FALSE or FOLD_TRUE.  Circuits are immutable, so the result is
+    computed on the first call for a circuit and kept on it; the
+    cardinality, knapsack and normal-form passes all start from it.
     """
+    folded = c.__dict__.get("_folded")
+    if folded is not None:
+        return folded
     kinds, kids, pos, neg = c.columns
     count = len(kinds)
     rep = [FOLD_FALSE] * count      # folded node: a live node id or a constant
@@ -535,7 +540,8 @@ def fold_constants(c: NnfCircuit) -> tuple[list, int]:
                     live.append((nid, OR, tuple(ks), pos[nid], 0))
         elif kind == TRUE:
             rep[nid] = FOLD_TRUE
-    return live, rep[out]
+    c._folded = (tuple(live), rep[out])
+    return c._folded
 
 
 def add_node(columns: tuple, kind, kids: tuple = (), a=0, b=0) -> int:

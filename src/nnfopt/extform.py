@@ -11,17 +11,15 @@ integral optimal dual for any integer edge costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .circuit import (AND, FALSE, LIT, OR, TRUE, CapExceeded, CircuitBuilder,
                       NnfCircuit, add_node, check_normalized)
 from .maxplus import WeightFunction
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     tag: tuple
     coeffs: tuple          # ((column, coefficient), ...) in column order
     relation: str          # '=' or '>='
@@ -232,17 +230,23 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
         if kind == AND:
             acc = 0
             for eid in c.in_edges(nid):
-                z[("and", nid, eid)] = got = cost.get(eid, 0) + base[edges[eid][0]]
+                z[("and", nid, eid)] = got = _plus(cost.get(eid), base[edges[eid][0]])
                 acc += got
             base.append(acc)
         elif kind == OR and node[1]:
-            z[("or", nid)] = got = max(cost.get(eid, 0) + base[edges[eid][0]]
+            z[("or", nid)] = got = max(_plus(cost.get(eid), base[edges[eid][0]])
                                        for eid in c.in_edges(nid))
             base.append(got)
         else:
             # a childless Or has no dual variable for a parent to read
             base.append(None if kind == OR else 0)
     return z[("or", c.output)], z
+
+
+def _plus(cost, value):
+    """cost + value, where a missing cost adds nothing; most edges carry
+    no cost, and skipping the addition spares a Fraction per edge."""
+    return value if cost is None else cost + value
 
 
 def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:

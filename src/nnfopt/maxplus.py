@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import lcm
 from typing import Mapping, Optional, Sequence
@@ -59,6 +60,14 @@ class WeightFunction:
         # prefers 0 on ties, so greedy completions lean lexicographically small
         return 0 if self._w[(var, 0)] >= self._w[(var, 1)] else 1
 
+    @cached_property
+    def _scaled_ints(self) -> tuple[int, dict]:
+        """(scale, {var: (w0, w1)}): the weights times the lcm of their
+        denominators, as ints.  The table never changes after __init__."""
+        scale = lcm(*(val.denominator for val in self._w.values()))
+        return scale, {var: (int(self._w[(var, 0)] * scale), int(self._w[(var, 1)] * scale))
+                       for var in self.universe}
+
     def scaled(self, factor) -> "WeightFunction":
         factor = Fraction(factor)
         return WeightFunction(
@@ -97,14 +106,11 @@ def _regret_planes(c: NnfCircuit, w: WeightFunction):
     total slack, regrets of positive and of negative literals by bit
     position, planes of positive literals, planes of negative ones).
     """
-    scale = 1
-    for var in c.variables:
-        scale = lcm(scale, w.weight(var, 0).denominator, w.weight(var, 1).denominator)
+    scale, ints = w._scaled_ints
     total = 0
     r1, r0 = [], []
     for var in c.bit_variables:
-        w0 = int(w.weight(var, 0) * scale)
-        w1 = int(w.weight(var, 1) * scale)
+        w0, w1 = ints[var]
         best = max(w0, w1)
         total += best
         r1.append(best - w1)
@@ -210,16 +216,17 @@ def project_solution(tau: Mapping, inst: LiteralInstance) -> dict:
     """Vertex point of a multilinear-set model; the polynomial value at the
     point equals the model's weight under weights_from_profits."""
     h = inst.hypergraph
+    bits = {v: tau[CnfVariable("x", v)] for v in h.vertices}
     for i, e in enumerate(h.edges):
         prod = 1
         for v in e:
-            bit = tau[CnfVariable("x", v)]
+            bit = bits[v]
             if (bit if inst.sigma[i][v] == 1 else 1 - bit) == 0:
                 prod = 0
                 break
         if int(tau[CnfVariable("y", i)]) != prod:
             raise ValueError(f"assignment is not in the multilinear set (edge {i})")
-    return {v: int(tau[CnfVariable("x", v)]) for v in h.vertices}
+    return {v: int(bit) for v, bit in bits.items()}
 
 
 def _kbest_product(la: list, lb: list, k: int) -> list:
