@@ -239,9 +239,10 @@ class TestMinfillMatchesReference:
 
     @pytest.mark.parametrize("family", ["path", "cycle of triples"])
     def test_work_grows_linearly(self, family):
-        # Both families have width at most 3, so an elimination costs O(1)
-        # unless the next node is found by scanning the live nodes, which
-        # makes the count grow 4x per doubling.
+        # Min-fill finds widths 1 and 4 here at every n, so an elimination
+        # costs O(1) unless the next node is found by scanning the live
+        # nodes; the count then grows quadratically (2.9-3.6x per doubling
+        # at these sizes for a scan over a set of ints).
         counts = []
         for n in (100, 200, 400):
             if family == "path":
