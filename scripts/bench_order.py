@@ -3,7 +3,7 @@
 For each instance this runs the stages of ``compiler.encode_instance`` on
 the basic-encoding path one by one -- beta check, encode, incidence graph,
 min-fill, order_from_decomposition -- and records per stage the minimum
-and median wall time over --repeat runs, plus the graph size, the
+and median wall time over REPEAT runs, plus the graph size, the
 decomposition width and a SHA-256 of the branch order, so two runs can
 be checked to order identically.  The composed hint must equal
 encode_instance's own.
@@ -35,6 +35,8 @@ from nnfopt import (Hypergraph, LiteralInstance, beta_elimination_order, encode_
                     encode_instance, formula_incidence_graph, gen_labs,
                     minfill_decomposition, order_from_decomposition, parse_instance)
 
+REPEAT = 5
+
 
 def shuffled_cycle_of_triples(n: int, seed: int) -> LiteralInstance:
     rng = random.Random(seed)
@@ -58,9 +60,9 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-def measure(inst: LiteralInstance, repeat: int) -> dict:
+def measure(inst: LiteralInstance) -> dict:
     times: dict = {}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         beta, dt = timed(beta_elimination_order, inst.hypergraph)
         if beta is not None:
             raise ValueError("instance is beta-acyclic; min-fill would not run")
@@ -103,15 +105,12 @@ def machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this run in the JSON file")
-    ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--out", default="BENCH_order.json")
     args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be positive")
 
-    run = {"machine": machine(), "repeat": args.repeat, "instances": {}}
+    run = {"machine": machine(), "repeat": REPEAT, "instances": {}}
     for name, inst in instances():
-        run["instances"][name] = row = measure(inst, args.repeat)
+        run["instances"][name] = row = measure(inst)
         sec = row["seconds"]
         print(f"{name}: {row['graph_nodes']} nodes, width {row['width']}, "
               f"min-fill {sec['minfill']['median']:.3f} s, "
