@@ -1,25 +1,19 @@
 """NNF circuits: structure, semantics, normal forms and serialization.
 
-Nodes live in a topologically sorted list (children before parents), so a
+Nodes are numbered in topological order (children before parents), so a
 single ascending pass implements every bottom-up computation.  Or nodes
 may carry a decision marker: either a variable whose value the children
 fix in opposite ways, or an opaque pseudo-variable tag (a tuple starting
 with a '#' string) recorded by circuit transformations whose children are
-model-disjoint by construction.  Edges are first class: edge k is the
-k-th (child, parent) pair in parent-major order, and downstream linear
-systems attach one unknown per edge id.
+model-disjoint by construction.
 
-Besides the record view (nodes), every circuit has a columnar view over
-bitmasks in which an And node may hold a literal block: its literal
-children as two masks (positive and negative literals).  The compiler
-writes circuits in that form, so its output costs a few words per
-decision node; the record view expands each block into literal children
-on first use.  Structure checks, evaluation, the optimum and top-k
-queries read the columnar view, and so does every rebuild: constant
-folding, the extform normal form, rerooting and the cardinality and
-knapsack transforms write columns without expanding blocks.  The record
-view serves the edge-indexed extform systems (literal relays write the
-record order of edges), the text format, counting and enumeration.
+Circuits are stored as columns over bitmasks, in which an And node may
+hold a literal block: its literal children as two masks (positive and
+negative literals).  The compiler writes circuits in that form, so its
+output costs a few words per decision node.  Every query and rebuild
+reads the columns; the record view (nodes) serves only the text format
+and circuits built by hand.  Edges are first class: downstream linear
+systems attach one unknown per edge id, numbered as NnfCircuit states.
 """
 
 from __future__ import annotations
@@ -59,16 +53,22 @@ def mask_bits(mask: int):
 class NnfCircuit:
     """Immutable NNF circuit over a declared variable universe.
 
-    nodes is a sequence of records:
+    The stored form is columnar: columns is (kinds, kids, pos, neg), four
+    lists with one entry per node, children before parents.  Variables
+    are numbered by their position in bit_variables.  A literal node has
+    pos or neg set to its one bit; an And node's pos/neg masks are its
+    literal block; an Or node keeps its decision marker in pos.
+
+    record_kids lists each node's children with every block expanded to
+    its literal nodes, in universe order, ahead of the other kids.  Edge
+    ids count these children in parent order: edge k is the k-th
+    (child, parent) pair of record_kids, parent by parent.
+
+    nodes is the record view, kept for the text format and for circuits
+    built by hand:
       (FALSE,) | (TRUE,) | (LIT, variable, sign) |
       (AND, children) | (OR, children, decision)
     where children are tuples of earlier node ids.
-
-    The columnar view (kinds, kids, pos, neg) numbers variables by their
-    position in bit_variables.  A literal node has pos or neg set to its
-    one bit; an And node's pos/neg masks are its literal block, whose
-    literals are children of the node in the record view (in universe
-    order, ahead of kids); an Or node keeps its decision marker in pos.
     """
 
     def __init__(self, variables: Sequence, nodes: Sequence[tuple], output: int) -> None:
@@ -81,17 +81,30 @@ class NnfCircuit:
             raise ValueError("output id out of range")
         self.output = output
         self.bit_variables = self.variables
+        bit = self.bit_index
+        kinds, kids, pos, neg = [], [], [], []
         for nid, node in enumerate(self.nodes):
             kind = node[0]
+            ks, a, b = (), 0, 0
             if kind == LIT:
                 if node[1] not in self._universe:
                     raise ValueError(f"literal over undeclared variable {node[1]}")
+                a = 1 << bit[node[1]]
+                if not node[2]:
+                    a, b = 0, a
             elif kind in (AND, OR):
-                kids = node[1]
-                if kids and (min(kids) < 0 or max(kids) >= nid):
+                ks = node[1]
+                if ks and (min(ks) < 0 or max(ks) >= nid):
                     raise ValueError("children must precede their parent")
+                if kind == OR:
+                    a = node[2]
             elif kind not in (FALSE, TRUE):
                 raise ValueError(f"unknown node kind {kind}")
+            kinds.append(kind)
+            kids.append(ks)
+            pos.append(a)
+            neg.append(b)
+        self.columns = kinds, kids, pos, neg
 
     @classmethod
     def from_columns(cls, variables: Sequence, bit_variables: Sequence,
@@ -126,27 +139,9 @@ class NnfCircuit:
         return {v: i for i, v in enumerate(self.bit_variables)}
 
     @cached_property
-    def columns(self) -> tuple:
-        """(kinds, kids, pos, neg) lists, one entry per node."""
-        bit = self.bit_index
-        kinds, kids, pos, neg = [], [], [], []
-        for node in self.nodes:
-            kind = node[0]
-            kinds.append(kind)
-            kids.append(node[1] if kind in (AND, OR) else ())
-            if kind == LIT:
-                b = 1 << bit[node[1]]
-                pos.append(b if node[2] else 0)
-                neg.append(0 if node[2] else b)
-            else:
-                pos.append(node[2] if kind == OR else 0)
-                neg.append(0)
-        return kinds, kids, pos, neg
-
-    @cached_property
     def record_kids(self) -> tuple:
-        """Each node's children in the record view: a literal block expands
-        to its literal nodes, in universe order, ahead of the other kids."""
+        """Each node's children with its literal block expanded: the block's
+        literal nodes, in universe order, ahead of the other kids."""
         kinds, kids, pos, neg = self.columns
         if not any(a or b for kind, a, b in zip(kinds, pos, neg) if kind == AND):
             return tuple(kids)
@@ -186,82 +181,16 @@ class NnfCircuit:
 
     @property
     def node_count(self) -> int:
-        return len(self.columns[0]) if "columns" in self.__dict__ else len(self.nodes)
-
-    def children(self, nid: int) -> tuple:
-        return self.record_kids[nid]
-
-    @cached_property
-    def edge_list(self) -> tuple:
-        """All (child, parent) pairs; the position is the edge id."""
-        return tuple((ch, nid) for nid, ks in enumerate(self.record_kids) for ch in ks)
+        return len(self.columns[0])
 
     @cached_property
     def edge_count(self) -> int:
-        if "columns" not in self.__dict__:
-            # a circuit built from records has no literal blocks
-            return sum(len(node[1]) for node in self.nodes if node[0] in (AND, OR))
         kinds, kids, pos, neg = self.columns
         count = sum(map(len, kids))
         for kind, a, b in zip(kinds, pos, neg):
             if kind == AND and (a or b):
                 count += (a | b).bit_count()
         return count
-
-    @cached_property
-    def _edge_maps(self):
-        incoming: dict[int, list] = {}
-        outgoing: dict[int, list] = {}
-        for eid, (ch, par) in enumerate(self.edge_list):
-            incoming.setdefault(par, []).append(eid)
-            outgoing.setdefault(ch, []).append(eid)
-        return incoming, outgoing
-
-    def in_edges(self, nid: int) -> list:
-        return self._edge_maps[0].get(nid, [])
-
-    def out_edges(self, nid: int) -> list:
-        return self._edge_maps[1].get(nid, [])
-
-    @cached_property
-    def var_sets(self) -> tuple:
-        sets = []
-        for node in self.nodes:
-            kind = node[0]
-            if kind == LIT:
-                sets.append(frozenset((node[1],)))
-            elif kind in (AND, OR):
-                acc = set()
-                for ch in node[1]:
-                    acc |= sets[ch]
-                sets.append(frozenset(acc))
-            else:
-                sets.append(frozenset())
-        return tuple(sets)
-
-    def reachable_from_output(self) -> list:
-        """Ids of the nodes the output reaches, ascending; computed once."""
-        got = self.__dict__.get("_reachable")
-        if got is None:
-            seen = {self.output}
-            stack = [self.output]
-            kids = self.record_kids
-            while stack:
-                nid = stack.pop()
-                for ch in kids[nid]:
-                    if ch not in seen:
-                        seen.add(ch)
-                        stack.append(ch)
-            got = self._reachable = sorted(seen)
-        return got
-
-    def literal_nodes(self) -> dict:
-        """Map (variable, sign) -> list of node ids carrying that literal."""
-        out: dict = {}
-        for nid, node in enumerate(self.nodes):
-            if node[0] == LIT:
-                out.setdefault((node[1], node[2]), []).append(nid)
-        return out
 
 
 class CircuitBuilder:
@@ -688,18 +617,18 @@ def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
 
 def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
     """Raise ValueError unless c satisfies the extform normal form."""
-    if c.nodes[c.output][0] != OR:
+    kinds, kids, pos, neg = c.columns
+    if kinds[c.output] != OR:
         raise ValueError("output must be an Or node")
-    if c.out_edges(c.output):
+    if any(c.output in ks for ks in kids[c.output + 1:]):
         raise ValueError("output must have no outgoing edges")
-    if len(c.reachable_from_output()) != c.node_count:
+    if _compact(c.columns, c.output)[0] is not c.columns:
         raise ValueError("every node must lie on a path to the output")
-    lits = c.literal_nodes()
-    if any(len(ids) > 1 for ids in lits.values()):
+    lits = [(a, b) for kind, a, b in zip(kinds, pos, neg) if kind == LIT]
+    if len(set(lits)) != len(lits):
         raise ValueError("each literal may label at most one input")
-    for node in c.nodes:
-        if node[0] == FALSE:
-            raise ValueError("false nodes must be folded away")
+    if FALSE in kinds:
+        raise ValueError("false nodes must be folded away")
     rep = check_structure(c)
     if not rep.decomposable:
         raise ValueError("circuit must be decomposable")
@@ -727,35 +656,25 @@ def model_count(c: NnfCircuit) -> int:
     rep = check_structure(c)
     if not (rep.decomposable and rep.deterministic):
         raise ValueError("model counting needs a decomposable, deterministic circuit")
-    vs = c.var_sets
-    counts = []
-    for nid, node in enumerate(c.nodes):
-        kind = node[0]
-        if kind == FALSE:
-            counts.append(0)
-        elif kind in (TRUE, LIT):
-            counts.append(1)
-        elif kind == AND:
-            n = 1
-            for ch in node[1]:
+    vm: list = []       # variables mentioned, per node
+    counts: list = []
+    for kind, ks, a, b in zip(*c.columns):
+        if kind == AND or kind == LIT:     # a block's literals have one model
+            m, n = a | b, 1
+            for ch in ks:
+                m |= vm[ch]
                 n *= counts[ch]
-            counts.append(n)
+        elif kind == OR:
+            m = 0
+            for ch in ks:
+                m |= vm[ch]
+            n = sum(counts[ch] << (m ^ vm[ch]).bit_count() for ch in ks)
         else:
-            n = 0
-            for ch in node[1]:
-                n += counts[ch] << (len(vs[nid]) - len(vs[ch]))
-            counts.append(n)
-    free = len(c.variables) - len(vs[c.output])
+            m, n = 0, int(kind == TRUE)
+        vm.append(m)
+        counts.append(n)
+    free = len(c.variables) - vm[c.output].bit_count()
     return counts[c.output] << free
-
-
-def _complete(rows: Iterable[tuple], have: tuple, fill: list):
-    """Each row as a dict over have, extended by every assignment of fill."""
-    for bits in rows:
-        stack = [dict(zip(have, bits))]
-        for v in fill:
-            stack = [{**d, v: bval} for d in stack for bval in (0, 1)]
-        yield from stack
 
 
 def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
@@ -764,60 +683,47 @@ def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
     Intended as an oracle for small circuits; raises CapExceeded when any
     intermediate or final model set would exceed cap.  Requires
     decomposability only, so it also works on non-deterministic DNNF.
+    Models are held as masks of the variables set to 1.
     """
     if not check_structure(c).decomposable:
         raise ValueError("model enumeration needs a decomposable circuit")
-    vs = c.var_sets
-    order = {v: i for i, v in enumerate(c.variables)}
-    varkey = lambda nid: tuple(sorted(vs[nid], key=order.__getitem__))
 
-    sets: list = []
-    for nid, node in enumerate(c.nodes):
-        kind = node[0]
-        if kind == FALSE:
-            sets.append(set())
-        elif kind == TRUE:
-            sets.append({()})
-        elif kind == LIT:
-            sets.append({(1 if node[2] else 0,)})
-        elif kind == AND:
-            kvars = varkey(nid)
-            acc = [dict()]
-            for ch in node[1]:
-                chv = varkey(ch)
-                nxt = []
-                for partial in acc:
-                    for bits in sets[ch]:
-                        d = dict(partial)
-                        d.update(zip(chv, bits))
-                        nxt.append(d)
-                        if len(nxt) > cap:
-                            raise CapExceeded("model cap exceeded")
-                acc = nxt
-            sets.append({tuple(d[v] for v in kvars) for d in acc})
-        else:
-            kvars = varkey(nid)
-            merged = set()
-            for ch in node[1]:
-                chv = varkey(ch)
-                have = set(chv)
-                fill = [v for v in kvars if v not in have]
-                for d in _complete(sets[ch], chv, fill):
-                    merged.add(tuple(d[v] for v in kvars))
-                    if len(merged) > cap:
-                        raise CapExceeded("model cap exceeded")
-            sets.append(merged)
-        if len(sets[-1]) > cap:
+    def completed(models, free: int) -> list:
+        if len(models) << free.bit_count() > cap:
             raise CapExceeded("model cap exceeded")
+        out = list(models)
+        for i in mask_bits(free):
+            out += [x | 1 << i for x in out]
+        return out
 
-    out_vars = varkey(c.output)
-    free = [v for v in c.variables if v not in set(out_vars)]
-    total = len(sets[c.output]) << len(free)
-    if total > cap:
-        raise CapExceeded("model cap exceeded")
-    models = list(_complete(sorted(sets[c.output]), out_vars, free))
-    models.sort(key=lambda d: tuple(d[v] for v in c.variables))
-    return models
+    vm: list = []       # variables mentioned, per node
+    sets: list = []     # models over those variables, per node
+    for kind, ks, a, b in zip(*c.columns):
+        if kind == AND or kind == LIT:
+            m, acc = a | b, {a}
+            for ch in ks:
+                if len(acc) * len(sets[ch]) > cap:
+                    raise CapExceeded("model cap exceeded")
+                m |= vm[ch]
+                acc = {x | y for x in acc for y in sets[ch]}
+        elif kind == OR:
+            m, acc = 0, set()
+            for ch in ks:
+                m |= vm[ch]
+            for ch in ks:
+                acc.update(completed(sets[ch], m ^ vm[ch]))
+        else:
+            m, acc = 0, {0} if kind == TRUE else set()
+        if len(acc) > cap:
+            raise CapExceeded("model cap exceeded")
+        vm.append(m)
+        sets.append(acc)
+
+    everything = (1 << len(c.variables)) - 1
+    bits = [c.bit_index[v] for v in c.variables]
+    rows = sorted(tuple(x >> i & 1 for i in bits)
+                  for x in completed(sets[c.output], everything ^ vm[c.output]))
+    return [dict(zip(c.variables, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------

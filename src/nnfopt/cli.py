@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from fractions import Fraction
 from math import lcm
 from typing import Optional
 

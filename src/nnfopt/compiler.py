@@ -28,7 +28,6 @@ its cache key.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,14 +50,12 @@ class CompileConfig:
 
     order_hint, when given, must be a permutation of the formula's
     variables; branching follows it.  Without a hint variables are
-    branched in declaration order, optionally shuffled by seed (the
-    default is fully deterministic).  cache_budget caps the number of
+    branched in declaration order.  cache_budget caps the number of
     cached components; beyond it compilation continues without reuse.
     """
 
     order_hint: Optional[Sequence[CnfVariable]] = None
     cache_budget: int = 1_000_000
-    seed: Optional[int] = None
 
 
 def _find_gates(clauses) -> dict:
@@ -119,15 +116,11 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     variables = f.variables
     n = len(variables)
 
+    base = variables
     if cfg.order_hint is not None:
-        hint = tuple(cfg.order_hint)
-        if len(hint) != n or set(hint) != set(variables):
+        base = tuple(cfg.order_hint)
+        if len(base) != n or set(base) != set(variables):
             raise ValueError("order hint must be a permutation of the formula variables")
-        base = hint
-    else:
-        base = list(variables)
-        if cfg.seed is not None:
-            random.Random(cfg.seed).shuffle(base)
     # bit i stands for base[i]; clauses keep the formula's variable numbers
     rank = {f.variable_number(v): i for i, v in enumerate(base)}
 

@@ -11,7 +11,9 @@ integral optimal dual for any integer edge costs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .circuit import (AND, FALSE, LIT, OR, TRUE, CapExceeded, CircuitBuilder,
@@ -69,45 +71,69 @@ def build_system(c: NnfCircuit, include_x: bool = False) -> LinearSystem:
     circuit to be smooth and to mention every variable.
     """
     check_normalized(c, require_smooth=include_x)
-    rows: list[Row] = []
+    kinds, _, pos, neg = c.columns
+    record_kids = c.record_kids
     ecols = [("y", eid) for eid in range(c.edge_count)]
     columns = list(ecols)
     names = {col: f"y{eid}" for eid, col in enumerate(ecols)}
     # every row shares these (column, coefficient) pairs
     plus = [(col, 1) for col in ecols]
     minus = [(col, -1) for col in ecols]
+    ids, start = _fanout(c)
 
-    out_row = tuple(plus[eid] for eid in c.in_edges(c.output))
-    rows.append(Row(("out",), out_row, "=", 1))
-    for nid, node in enumerate(c.nodes):
-        kind = node[0]
-        if kind == OR and nid != c.output:
-            coeffs = [plus[eid] for eid in c.in_edges(nid)]
-            coeffs += [minus[eid] for eid in c.out_edges(nid)]
-            rows.append(Row(("or", nid), tuple(coeffs), "=", 0))
+    def outflow(v: int) -> list:
+        return [minus[e] for e in ids[start[v]:start[v + 1]]]
+
+    rows: list = [None]     # the output's row comes first
+    eid = 0
+    for nid, (kind, ks) in enumerate(zip(kinds, record_kids)):
+        ins = plus[eid:eid + len(ks)]
+        if nid == c.output:
+            rows[0] = Row(("out",), tuple(ins), "=", 1)
+        elif kind == OR:
+            rows.append(Row(("or", nid), tuple(ins + outflow(nid)), "=", 0))
         elif kind == AND:
-            outs = tuple(minus[eid] for eid in c.out_edges(nid))
-            for eid in c.in_edges(nid):
-                rows.append(Row(("and", nid, eid), (plus[eid],) + outs, "=", 0))
-    for eid in range(c.edge_count):
-        rows.append(Row(("nonneg", eid), (plus[eid],), ">=", 0))
+            tail = tuple(outflow(nid))
+            for e, pair in enumerate(ins, eid):
+                rows.append(Row(("and", nid, e), (pair,) + tail, "=", 0))
+        eid += len(ks)
+    rows.extend(Row(("nonneg", e), (pair,), ">=", 0) for e, pair in enumerate(plus))
 
     if include_x:
-        lits = c.literal_nodes()
-        pos = {v: i + 1 for i, v in enumerate(c.variables)}
-        satisfiable = bool(c.in_edges(c.output))
-        for var in c.variables:
-            if satisfiable and (var, True) not in lits and (var, False) not in lits:
+        bv = c.bit_variables
+        lits = {(bv[(pos[nid] | neg[nid]).bit_length() - 1], bool(pos[nid])): nid
+                for nid, kind in enumerate(kinds) if kind == LIT}
+        satisfiable = bool(record_kids[c.output])
+        for i, var in enumerate(c.variables, 1):
+            lid = lits.get((var, True))
+            if satisfiable and lid is None and (var, False) not in lits:
                 raise ValueError(f"variable {var!r} does not occur; normalize first")
             col = ("x", var)
             columns.append(col)
-            names[col] = f"x{pos[var]}"
+            names[col] = f"x{i}"
             coeffs = [(col, 1)]
-            if (var, True) in lits:
-                [lid] = lits[(var, True)]
-                coeffs += [(("y", eid), -1) for eid in c.out_edges(lid)]
+            if lid is not None:
+                coeffs += outflow(lid)
             rows.append(Row(("proj", var), tuple(coeffs), "=", 0))
     return LinearSystem(columns, rows, names)
+
+
+def _edges(c: NnfCircuit):
+    """Each edge as (child, parent), in edge-id order."""
+    for par, ks in enumerate(c.record_kids):
+        for ch in ks:
+            yield ch, par
+
+
+def _fanout(c: NnfCircuit) -> tuple[list, list]:
+    """Out-edge ids by node, as (ids, start): the out-edges of node v are
+    ids[start[v]:start[v + 1]], ascending.  Two flat lists, so a large
+    circuit costs no list per node."""
+    child = list(chain.from_iterable(c.record_kids))     # the child of each edge
+    ids = sorted(range(len(child)), key=child.__getitem__)
+    fan = Counter(child)
+    start = list(accumulate((fan[v] for v in range(c.node_count)), initial=0))
+    return ids, start
 
 
 # ---------------------------------------------------------------------------
@@ -118,60 +144,60 @@ def validate_certificate(c: NnfCircuit, gates: frozenset) -> None:
     """Raise ValueError unless gates forms a certificate of c."""
     if c.output not in gates:
         raise ValueError("certificate must contain the output")
+    kinds = c.columns[0]
+    record_kids = c.record_kids
+    fed = set(chain.from_iterable(record_kids[nid] for nid in gates))
     for nid in gates:
-        node = c.nodes[nid]
-        kind = node[0]
+        kind = kinds[nid]
         if kind == OR:
-            chosen = [ch for ch in node[1] if ch in gates]
+            chosen = [ch for ch in record_kids[nid] if ch in gates]
             if len(chosen) != 1:
                 raise ValueError(f"Or gate {nid} must have exactly one chosen input")
         elif kind == AND:
-            if any(ch not in gates for ch in node[1]):
+            if any(ch not in gates for ch in record_kids[nid]):
                 raise ValueError(f"And gate {nid} must have all inputs chosen")
         elif kind == FALSE:
             raise ValueError("certificates cannot pass through false")
-        if nid != c.output:
-            if not any(par in gates for _, par in
-                       (c.edge_list[eid] for eid in c.out_edges(nid))):
-                raise ValueError(f"gate {nid} feeds no chosen gate")
+        if nid != c.output and nid not in fed:
+            raise ValueError(f"gate {nid} feeds no chosen gate")
 
 
 def enumerate_certificates(c: NnfCircuit, cap: int = 100000) -> list[frozenset]:
     """All certificates, as gate-id sets; raises CapExceeded beyond cap."""
     check_normalized(c, require_smooth=False)
+    kinds = c.columns[0]
+    record_kids = c.record_kids
     counts: list[int] = []
-    for nid, node in enumerate(c.nodes):
-        kind = node[0]
+    for kind, ks in zip(kinds, record_kids):
         if kind in (LIT, TRUE):
             counts.append(1)
         elif kind == FALSE:
             counts.append(0)
         elif kind == AND:
             n = 1
-            for ch in node[1]:
+            for ch in ks:
                 n *= counts[ch]
             counts.append(n)
         else:
-            counts.append(sum(counts[ch] for ch in node[1]))
+            counts.append(sum(counts[ch] for ch in ks))
         if counts[-1] > cap:
             raise CapExceeded("certificate cap exceeded")
     if counts[c.output] > cap:
         raise CapExceeded("certificate cap exceeded")
 
     table: list[list[frozenset]] = []
-    for nid, node in enumerate(c.nodes):
-        kind = node[0]
+    for nid, (kind, ks) in enumerate(zip(kinds, record_kids)):
         if kind in (LIT, TRUE):
             table.append([frozenset((nid,))])
         elif kind == FALSE:
             table.append([])
         elif kind == AND:
             acc = [frozenset((nid,))]
-            for ch in node[1]:
+            for ch in ks:
                 acc = [t | s for t in acc for s in table[ch]]
             table.append(acc)
         else:
-            table.append([t | {nid} for ch in node[1] for t in table[ch]])
+            table.append([t | {nid} for ch in ks for t in table[ch]])
     return table[c.output]
 
 
@@ -179,17 +205,15 @@ def certificate_point(t: frozenset, c: NnfCircuit) -> tuple[dict, dict]:
     """The 0/1 (y, x) vectors of a certificate of a smooth normalized circuit."""
     check_normalized(c, require_smooth=True)
     validate_certificate(c, t)
-    y = {}
-    for eid, (ch, par) in enumerate(c.edge_list):
-        y[("y", eid)] = 1 if (ch in t and par in t) else 0
+    y = {("y", eid): int(ch in t and par in t) for eid, (ch, par) in enumerate(_edges(c))}
+    kinds, _, pos, neg = c.columns
     x = {}
     for nid in t:
-        node = c.nodes[nid]
-        if node[0] == LIT:
-            var, sign = node[1], node[2]
+        if kinds[nid] == LIT:
+            var = c.bit_variables[(pos[nid] | neg[nid]).bit_length() - 1]
             if ("x", var) in x:
                 raise ValueError(f"two literals of {var!r} in one certificate")
-            x[("x", var)] = 1 if sign else 0
+            x[("x", var)] = 1 if pos[nid] else 0
     for var in c.variables:
         if ("x", var) not in x:
             raise ValueError(f"certificate fixes no literal of {var!r}")
@@ -199,7 +223,7 @@ def certificate_point(t: frozenset, c: NnfCircuit) -> tuple[dict, dict]:
 def certificate_tree_cost(c: NnfCircuit, t: frozenset, cost: Mapping) -> Fraction:
     """Total cost of the edges with both endpoints in the certificate."""
     total = Fraction(0)
-    for eid, (ch, par) in enumerate(c.edge_list):
+    for eid, (ch, par) in enumerate(_edges(c)):
         if ch in t and par in t:
             total += Fraction(cost.get(eid, 0))
     return total
@@ -219,27 +243,28 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
     cost.  Integer costs give an integral dual.
     """
     check_normalized(c, require_smooth=False)
-    if not c.in_edges(c.output):
+    record_kids = c.record_kids
+    if not record_kids[c.output]:
         raise ValueError("unsatisfiable circuit: the primal system is infeasible")
 
-    edges = c.edge_list
     z: dict = {}
     base: list = []     # per gate: its Or variable, or the sum of its And variables
-    for nid, node in enumerate(c.nodes):
-        kind = node[0]
+    eid = 0
+    for nid, (kind, ks) in enumerate(zip(c.columns[0], record_kids)):
         if kind == AND:
             acc = 0
-            for eid in c.in_edges(nid):
-                z[("and", nid, eid)] = got = _plus(cost.get(eid), base[edges[eid][0]])
+            for e, ch in enumerate(ks, eid):
+                z[("and", nid, e)] = got = _plus(cost.get(e), base[ch])
                 acc += got
             base.append(acc)
-        elif kind == OR and node[1]:
-            z[("or", nid)] = got = max(_plus(cost.get(eid), base[edges[eid][0]])
-                                       for eid in c.in_edges(nid))
+        elif kind == OR and ks:
+            z[("or", nid)] = got = max(_plus(cost.get(e), base[ch])
+                                       for e, ch in enumerate(ks, eid))
             base.append(got)
         else:
             # a childless Or has no dual variable for a parent to read
             base.append(None if kind == OR else 0)
+        eid += len(ks)
     return z[("or", c.output)], z
 
 
@@ -258,11 +283,8 @@ def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
     """
     kinds, _, pos, neg = c.columns
     record_kids = c.record_kids
-    parents = [0] * len(kinds)
-    for ks in record_kids:
-        for ch in ks:
-            parents[ch] += 1
-    if not any(kind == LIT and n > 1 for kind, n in zip(kinds, parents)):
+    parents = Counter(chain.from_iterable(record_kids))
+    if not any(kind == LIT and parents[nid] > 1 for nid, kind in enumerate(kinds)):
         return c
     out = ([], [], [], [])
     new: list = []
@@ -293,13 +315,16 @@ def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dic
     """
     relayed = insert_literal_relays(c)
     check_normalized(relayed, require_smooth=True)
+    kinds, _, pos, neg = relayed.columns
+    bv = relayed.bit_variables
+    ids, start = _fanout(relayed)
     cost: dict[int, Fraction] = {}
-    for (var, sign), ids in relayed.literal_nodes().items():
-        [lid] = ids
-        outs = relayed.out_edges(lid)
-        if len(outs) != 1:
-            raise RuntimeError("literal relay insertion failed")
-        cost[outs[0]] = w.weight(var, 1 if sign else 0)
+    for nid, kind in enumerate(kinds):
+        if kind == LIT:
+            if start[nid + 1] - start[nid] != 1:
+                raise RuntimeError("literal relay insertion failed")
+            a = pos[nid]
+            cost[ids[start[nid]]] = w.weight(bv[(a | neg[nid]).bit_length() - 1], 1 if a else 0)
     return relayed, cost
 
 

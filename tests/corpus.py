@@ -180,6 +180,30 @@ def random_formula(rng: random.Random, max_vars: int = 6,
 # reference circuits
 
 
+def variable_sets(c) -> list:
+    """The variables each node mentions, from the record view."""
+    sets: list = []
+    for node in c.nodes:
+        if node[0] == "L":
+            sets.append(frozenset((node[1],)))
+        elif node[0] in ("A", "O"):
+            sets.append(frozenset().union(*(sets[ch] for ch in node[1])))
+        else:
+            sets.append(frozenset())
+    return sets
+
+
+def reachable(c) -> set:
+    """Ids of the nodes the output reaches through record_kids."""
+    seen, stack = {c.output}, [c.output]
+    while stack:
+        for ch in c.record_kids[stack.pop()]:
+            if ch not in seen:
+                seen.add(ch)
+                stack.append(ch)
+    return seen
+
+
 FIG_DDNNF_ROWS = [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
 
 

@@ -314,6 +314,7 @@ class TestCriterion9Determinism:
             ["compile", "--emit-cnf", "--emit-nnf", str(example)],
             ["compile", "--emit-nnf", str(cyclic)],
             ["extform", str(example)],
+            ["extform", str(cyclic)],
             ["oracle", "--k", "3", str(example)],
             ["gen-labs", "8", "2"],
         ]

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (FIG_DDNNF_ROWS, all_assignments, circuit_corpus, fig_ddnnf,
-                    random_formula, random_instance, sat_assignments, worked_example)
+                    random_formula, random_instance, reachable, sat_assignments,
+                    variable_sets, worked_example)
 from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     compile_formula, encode_basic, enumerate_models, evaluate,
                     from_nnf_text, model_count, normalize_for_extform, reroot,
                     smooth_binary_form, to_nnf_text)
 from nnfopt import NnfCircuit, optimize, weights_from_profits
-from nnfopt.circuit import AND, LIT, OR, check_normalized
+from nnfopt.circuit import AND, FALSE, LIT, OR, check_normalized
 
 
 def rows_of(c):
@@ -105,7 +106,7 @@ class TestNormalizeForExtform:
         out = b.add_or((b.literal("x", True),), None)
         n = normalize_for_extform(b.finish(out))
         check_normalized(n)
-        assert len(n.reachable_from_output()) == n.node_count
+        assert len(reachable(n)) == n.node_count
         assert rows_of(n) == {(1,)}
 
     def test_unsat_becomes_childless_or(self):
@@ -149,7 +150,7 @@ class TestNormalizeForExtform:
         b = CircuitBuilder(("x", "y"))
         c = b.finish(b.literal("x", True))
         n = normalize_for_extform(c)
-        assert n.var_sets[n.output] == frozenset(("x", "y"))
+        assert variable_sets(n)[n.output] == frozenset(("x", "y"))
         assert rows_of(n) == rows_of(c)
 
     def test_size_bound(self):
@@ -158,6 +159,30 @@ class TestNormalizeForExtform:
             n = normalize_for_extform(c)
             assert n.edge_count <= max(1, c.edge_count) * (1 + len(c.variables)) + \
                 3 * len(c.variables)
+
+
+X, NX, Y, NY = (LIT, "x", True), (LIT, "x", False), (LIT, "y", True), (LIT, "y", False)
+
+
+class TestCheckNormalized:
+    # one hand-built circuit over (x, y) per rule: nodes, output, message
+    @pytest.mark.parametrize("nodes, output, message", [
+        ([X], 0, "output must be an Or node"),
+        ([X, (OR, (0,), None), (AND, (1,))], 1, "output must have no outgoing edges"),
+        ([X, NX, (OR, (0,), None)], 2, "every node must lie on a path to the output"),
+        ([X, X, Y, NY, (AND, (0, 2)), (AND, (1, 3)), (OR, (4, 5), "y")], 6,
+         "each literal may label at most one input"),
+        ([(FALSE,), X, (OR, (0, 1), None)], 2, "false nodes must be folded away"),
+        ([X, (OR, (0,), None), (AND, (0, 1)), (OR, (2,), None)], 3,
+         "circuit must be decomposable"),
+        ([X, NX, Y, (AND, (1, 2)), (OR, (0, 3), "x")], 4, "circuit must be smooth"),
+    ])
+    def test_rule(self, nodes, output, message):
+        c = NnfCircuit(("x", "y"), nodes, output)
+        with pytest.raises(ValueError, match=message):
+            check_normalized(c)
+        if message.endswith("smooth"):
+            check_normalized(c, require_smooth=False)
 
 
 class TestSmoothBinaryForm:
@@ -171,7 +196,7 @@ class TestSmoothBinaryForm:
             rows = rows_of(c)
             assert rows_of(s) == rows
             if rows:    # an unsatisfiable circuit mentions no variable
-                assert s.var_sets[s.output] == frozenset(c.variables)
+                assert variable_sets(s)[s.output] == frozenset(c.variables)
 
     def test_ternary_and(self):
         b = CircuitBuilder(("x", "y", "z"))
@@ -314,7 +339,7 @@ class TestLiteralBlocks:
             inst = random_instance(rng, max_v=5, max_e=5, max_deg=3)
             c = compile_formula(encode_basic(inst))
             flat = NnfCircuit(c.variables, c.nodes, c.output)
-            assert c.edge_count == flat.edge_count == len(c.edge_list)
+            assert c.edge_count == flat.edge_count == sum(map(len, c.record_kids))
             assert check_structure(c) == check_structure(flat)
             w = weights_from_profits(inst)
             assert optimize(c, w) == optimize(flat, w)

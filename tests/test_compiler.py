@@ -109,13 +109,6 @@ class TestCompileDeterminism:
         c2 = compile_formula(f)
         assert c1.nodes == c2.nodes and c1.output == c2.output
 
-    def test_seeded_shuffle_reproducible(self):
-        f = encode_basic(worked_example())
-        a = compile_formula(f, CompileConfig(seed=5))
-        b = compile_formula(f, CompileConfig(seed=5))
-        assert a.nodes == b.nodes
-        assert model_rows(a) == model_rows(compile_formula(f))
-
     def test_order_hint_changes_shape_not_models(self):
         f = encode_basic(worked_example())
         hint = tuple(reversed(f.variables))

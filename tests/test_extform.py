@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from corpus import circuit_corpus, fig_ddnnf, worked_example
-from nnfopt import (CircuitBuilder, build_system, certificate_point,
+from nnfopt import (CircuitBuilder, NnfCircuit, build_system, certificate_point,
                     certificate_tree_cost, compile_formula, dual_optimize,
                     encode_basic, enumerate_certificates, enumerate_models,
                     normalize_for_extform, optimize, to_lp_text,
                     tu_counterexample_check, validate_certificate,
                     weight_edge_costs, weights_from_profits)
+from nnfopt.circuit import AND, FALSE, LIT, OR
 from nnfopt.cnf import CnfVariable
 from nnfopt.extform import _determinant, non_tu_witness_circuit
 from nnfopt.maxplus import WeightFunction
@@ -174,11 +175,32 @@ class TestCertificates:
             validate_certificate(c, frozenset({0}))
 
 
+class TestValidateCertificate:
+    # Or(And(x, y), -x, false) over (x, y); one certificate per rule
+    circuit = NnfCircuit(("x", "y"), [(LIT, "x", True), (LIT, "x", False), (LIT, "y", True),
+                                      (FALSE,), (AND, (0, 2)), (OR, (4, 1, 3), None)], 5)
+
+    @pytest.mark.parametrize("gates, message", [
+        ({4, 0, 2}, "certificate must contain the output"),
+        ({5, 4, 0, 2, 1}, "Or gate 5 must have exactly one chosen input"),
+        ({5, 4, 0}, "And gate 4 must have all inputs chosen"),
+        ({5, 3}, "certificates cannot pass through false"),
+        ({5, 1, 2}, "gate 2 feeds no chosen gate"),
+    ])
+    def test_rule(self, gates, message):
+        with pytest.raises(ValueError, match=message):
+            validate_certificate(self.circuit, frozenset(gates))
+
+    def test_certificates_pass(self):
+        for gates in ({5, 4, 0, 2}, {5, 1}):
+            validate_certificate(self.circuit, frozenset(gates))
+
+
 class TestDualOptimize:
     def test_zero_costs(self):
         rng = random.Random(50)
         for c in normalized_corpus(rng):
-            if not c.in_edges(c.output):
+            if not c.record_kids[c.output]:
                 continue
             value, _ = dual_optimize(c, {})
             assert value == 0
@@ -194,7 +216,7 @@ class TestDualOptimize:
     def test_random_integer_costs(self):
         rng = random.Random(51)
         for c in normalized_corpus(rng, count=4):
-            if not c.in_edges(c.output):
+            if not c.record_kids[c.output]:
                 continue
             certs = enumerate_certificates(c, cap=5000)
             for _ in range(20):

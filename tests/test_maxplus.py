@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from corpus import (circuit_corpus, fig_ddnnf, worked_example, poly_points_sorted,
-                    random_decision_dnnf, random_formula, random_instance)
+                    random_decision_dnnf, random_formula, random_instance,
+                    variable_sets)
 from nnfopt import (NEG_INF, CircuitBuilder, CompileConfig, WeightFunction,
                     compile_formula, encode_basic, encode_ordered, enumerate_models,
                     evaluate, optimize, project_solution, top_k, weights_from_profits)
@@ -211,11 +212,11 @@ class TestTopKOracle:
         free_or_child = free_output = 0
         for _ in range(120):
             c = random_decision_dnnf(rng, universe)
-            vs = c.var_sets
+            vs = variable_sets(c)
             free_output += vs[c.output] != set(universe)
             free_or_child += any(node[0] == "O" and vs[ch] != vs[nid]
                                  for nid, node in enumerate(c.nodes)
-                                 for ch in c.children(nid))
+                                 for ch in c.record_kids[nid])
             table = {(v, bit): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for v in universe for bit in (0, 1)}
             assert_top_k_matches_oracle(c, WeightFunction(universe, table), (1, 2, 5, 200))

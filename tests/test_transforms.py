@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from corpus import (circuit_corpus, worked_example, poly_points_sorted,
-                    random_decision_dnnf, random_formula, random_instance)
+                    random_decision_dnnf, random_formula, random_instance,
+                    variable_sets)
 from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig,
                     WeightFunction, beta_elimination_order, check_structure,
                     compile_formula, counting_transform, encode_basic, encode_ordered,
@@ -261,11 +262,11 @@ class TestColumnarCopyOracle:
         free_or_child = free_output = feasible = 0
         for _ in range(150):
             c = random_decision_dnnf(rng, universe)
-            vs = c.var_sets
+            vs = variable_sets(c)
             free_output += vs[c.output] != set(universe)
             free_or_child += any(node[0] == "O" and vs[ch] != vs[nid]
                                  for nid, node in enumerate(c.nodes)
-                                 for ch in c.children(nid))
+                                 for ch in c.record_kids[nid])
             feasible += check_transforms(rng, c)
         assert free_output > 20 and free_or_child > 20 and feasible > 50
 
