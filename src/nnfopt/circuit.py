@@ -7,13 +7,13 @@ fix in opposite ways, or an opaque pseudo-variable tag (a tuple starting
 with a '#' string) recorded by circuit transformations whose children are
 model-disjoint by construction.
 
-Circuits are stored as columns over bitmasks, in which an And node may
-hold a literal block: its literal children as two masks (positive and
-negative literals).  The compiler writes circuits in that form, so its
-output costs a few words per decision node.  Every query and rebuild
-reads the columns; the record view (nodes) serves only the text format
-and circuits built by hand.  Edges are first class: downstream linear
-systems attach one unknown per edge id, numbered as NnfCircuit states.
+Circuits are stored only as columns over bitmasks, in which an And node
+may hold a literal block: its literal children as two masks (positive
+and negative literals).  The compiler, CircuitBuilder and the text
+parser write that form, so compiled output costs a few words per
+decision node; every query, rebuild and the text writer reads it.
+Edges are first class: downstream linear systems attach one unknown per
+edge id, numbered as NnfCircuit states.
 """
 
 from __future__ import annotations
@@ -53,71 +53,29 @@ def mask_bits(mask: int):
 class NnfCircuit:
     """Immutable NNF circuit over a declared variable universe.
 
-    The stored form is columnar: columns is (kinds, kids, pos, neg), four
-    lists with one entry per node, children before parents.  Variables
-    are numbered by their position in bit_variables.  A literal node has
-    pos or neg set to its one bit; an And node's pos/neg masks are its
-    literal block; an Or node keeps its decision marker in pos.
+    Columns are the only stored form: columns is (kinds, kids, pos,
+    neg), four lists with one entry per node, children before parents.
+    Variables are numbered by their position in bit_variables.  A
+    literal node has pos or neg set to its one bit; an And node's
+    pos/neg masks are its literal block; an Or node keeps its decision
+    marker in pos.
 
     record_kids lists each node's children with every block expanded to
     its literal nodes, in universe order, ahead of the other kids.  Edge
     ids count these children in parent order: edge k is the k-th
     (child, parent) pair of record_kids, parent by parent.
 
-    nodes is the record view, kept for the text format and for circuits
-    built by hand:
-      (FALSE,) | (TRUE,) | (LIT, variable, sign) |
-      (AND, children) | (OR, children, decision)
-    where children are tuples of earlier node ids.
+    The constructor checks the universe and the output id.  Writers keep
+    children before parents (CircuitBuilder and from_nnf_text check it)
+    and give every literal of a block its own literal node.
     """
 
-    def __init__(self, variables: Sequence, nodes: Sequence[tuple], output: int) -> None:
+    def __init__(self, variables: Sequence, bit_variables: Sequence,
+                 columns: tuple, output: int) -> None:
         self.variables = tuple(variables)
         self._universe = set(self.variables)
         if len(self._universe) != len(self.variables):
             raise ValueError("duplicate variables in universe")
-        self.nodes = tuple(tuple(n) for n in nodes)
-        if not (0 <= output < len(self.nodes)):
-            raise ValueError("output id out of range")
-        self.output = output
-        self.bit_variables = self.variables
-        bit = self.bit_index
-        kinds, kids, pos, neg = [], [], [], []
-        for nid, node in enumerate(self.nodes):
-            kind = node[0]
-            ks, a, b = (), 0, 0
-            if kind == LIT:
-                if node[1] not in self._universe:
-                    raise ValueError(f"literal over undeclared variable {node[1]}")
-                a = 1 << bit[node[1]]
-                if not node[2]:
-                    a, b = 0, a
-            elif kind in (AND, OR):
-                ks = node[1]
-                if ks and (min(ks) < 0 or max(ks) >= nid):
-                    raise ValueError("children must precede their parent")
-                if kind == OR:
-                    a = node[2]
-            elif kind not in (FALSE, TRUE):
-                raise ValueError(f"unknown node kind {kind}")
-            kinds.append(kind)
-            kids.append(ks)
-            pos.append(a)
-            neg.append(b)
-        self.columns = kinds, kids, pos, neg
-
-    @classmethod
-    def from_columns(cls, variables: Sequence, bit_variables: Sequence,
-                     columns: tuple, output: int) -> "NnfCircuit":
-        """Circuit from a columnar view, as the compiler writes it.
-
-        The caller guarantees the invariants the record constructor
-        checks: children precede parents, and every literal of a block
-        also has its own literal node.
-        """
-        self = cls.__new__(cls)
-        self.variables = tuple(variables)
-        self._universe = set(self.variables)
         self.bit_variables = tuple(bit_variables)
         if set(self.bit_variables) != self._universe or \
                 len(self.bit_variables) != len(self.variables):
@@ -126,7 +84,6 @@ class NnfCircuit:
             raise ValueError("output id out of range")
         self.output = output
         self.columns = columns
-        return self
 
     def __repr__(self) -> str:
         return (f"NnfCircuit({len(self.variables)} vars, {self.node_count} nodes, "
@@ -160,23 +117,6 @@ class NnfCircuit:
             out.append(ks)
         return tuple(out)
 
-    @cached_property
-    def nodes(self) -> tuple:
-        """The record view; a literal block expands to its literal nodes."""
-        kinds, _, pos, neg = self.columns
-        bv = self.bit_variables
-        out = []
-        for kind, ks, a, b in zip(kinds, self.record_kids, pos, neg):
-            if kind == LIT:
-                out.append((LIT, bv[(a | b).bit_length() - 1], bool(a)))
-            elif kind == AND:
-                out.append((AND, tuple(ks)))
-            elif kind == OR:
-                out.append((OR, tuple(ks), a))
-            else:
-                out.append((kind,))
-        return tuple(out)
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -194,43 +134,41 @@ class NnfCircuit:
 
 
 class CircuitBuilder:
-    """Accumulates nodes in topological order; literals are deduplicated."""
+    """Accumulates nodes in topological order as columns; literals and the
+    two constants are deduplicated."""
 
     def __init__(self, variables: Sequence) -> None:
         self.variables = tuple(variables)
-        self.nodes: list[tuple] = []
-        self._lits: dict = {}
-        self._false: Optional[int] = None
-        self._true: Optional[int] = None
+        self.columns: tuple = ([], [], [], [])
+        self._bit = {v: i for i, v in enumerate(self.variables)}
+        self._leaves: dict = {}     # FALSE, TRUE or (variable, sign) -> node
 
-    def _add(self, node: tuple) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+    def _leaf(self, key, kind, a=0, b=0) -> int:
+        if key not in self._leaves:
+            self._leaves[key] = add_node(self.columns, kind, (), a, b)
+        return self._leaves[key]
 
     def false(self) -> int:
-        if self._false is None:
-            self._false = self._add((FALSE,))
-        return self._false
+        return self._leaf(FALSE, FALSE)
 
     def true(self) -> int:
-        if self._true is None:
-            self._true = self._add((TRUE,))
-        return self._true
+        return self._leaf(TRUE, TRUE)
 
     def literal(self, var, sign: bool) -> int:
-        key = (var, bool(sign))
-        if key not in self._lits:
-            self._lits[key] = self._add((LIT, var, bool(sign)))
-        return self._lits[key]
+        if var not in self._bit:
+            raise ValueError(f"literal over undeclared variable {var}")
+        bit = 1 << self._bit[var]
+        return self._leaf((var, bool(sign)), LIT, *((bit, 0) if sign else (0, bit)))
 
     def add_and(self, children: Iterable[int]) -> int:
-        return self._add((AND, tuple(children)))
+        return add_gate(self.columns, AND, tuple(children))
 
     def add_or(self, children: Iterable[int], decision=None) -> int:
-        return self._add((OR, tuple(children), decision))
+        return add_gate(self.columns, OR, tuple(children), decision)
 
     def finish(self, output: int) -> NnfCircuit:
-        return NnfCircuit(self.variables, self.nodes, output)
+        columns = tuple(list(col) for col in self.columns)
+        return NnfCircuit(self.variables, self.variables, columns, output)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +421,14 @@ def add_node(columns: tuple, kind, kids: tuple = (), a=0, b=0) -> int:
     return len(kinds) - 1
 
 
+def add_gate(columns: tuple, kind, kids: tuple = (), a=0) -> int:
+    """add_node for nodes written by hand or read from text: the children
+    must be ids of nodes already in the columns."""
+    if kids and (min(kids) < 0 or max(kids) >= len(columns[0])):
+        raise ValueError("children must precede their parent")
+    return add_node(columns, kind, kids, a)
+
+
 def _compact(columns: tuple, root: int) -> tuple:
     """Drop the nodes the root cannot reach, keeping the order of the rest.
 
@@ -537,7 +483,7 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     bv = c.bit_variables
     live, root = fold_constants(c)
     if root == FOLD_FALSE:
-        return NnfCircuit.from_columns(c.variables, bv, ([OR], [()], [None], [0]), 0)
+        return NnfCircuit(c.variables, bv, ([OR], [()], [None], [0]), 0)
     upos = {v: i for i, v in enumerate(c.variables)}
     rank = [upos[v] for v in bv]
     out = ([], [], [], [])
@@ -585,7 +531,7 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     if out[0][top] != OR:
         top = add_node(out, OR, (top,), None)
     columns, top = _compact(out, top)
-    return NnfCircuit.from_columns(c.variables, bv, columns, top)
+    return NnfCircuit(c.variables, bv, columns, top)
 
 
 def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
@@ -612,7 +558,7 @@ def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
             new.append(top)
         else:
             new.append(add_node(out, AND, ks))
-    return NnfCircuit.from_columns(n.variables, n.bit_variables, out, new[n.output])
+    return NnfCircuit(n.variables, n.bit_variables, out, new[n.output])
 
 
 def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
@@ -639,7 +585,7 @@ def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
 def reroot(c: NnfCircuit, nid: int) -> NnfCircuit:
     """Circuit over the same universe computing the function of node nid."""
     columns, root = _compact(c.columns, nid)
-    return NnfCircuit.from_columns(c.variables, c.bit_variables, columns, root)
+    return NnfCircuit(c.variables, c.bit_variables, columns, root)
 
 
 # ---------------------------------------------------------------------------
@@ -734,31 +680,33 @@ def to_nnf_text(c: NnfCircuit) -> str:
     """Serialize in the classic knowledge-compiler text format.
 
     Variables are numbered by their position in the universe.  True is
-    written as an empty And, false as an empty Or.  Pseudo-variable
-    decision markers cannot be expressed and are written as 0.
+    written as an empty And, false as an empty Or, and a literal block as
+    And edges to its literal nodes.  Pseudo-variable decision markers
+    cannot be expressed and are written as 0.
     """
     num = {v: i + 1 for i, v in enumerate(c.variables)}
+    bv = c.bit_variables
+    kinds, _, pos, neg = c.columns
     lines = [f"nnf {c.node_count} {c.edge_count} {len(c.variables)}"]
-    for node in c.nodes:
-        kind = node[0]
+    for kind, ks, a, b in zip(kinds, c.record_kids, pos, neg):
         if kind == TRUE:
             lines.append("A 0")
         elif kind == FALSE:
             lines.append("O 0 0")
         elif kind == LIT:
-            n = num[node[1]]
-            lines.append(f"L {n if node[2] else -n}")
-        elif kind == AND:
-            lines.append("A " + " ".join(str(x) for x in (len(node[1]),) + node[1]))
+            n = num[bv[(a | b).bit_length() - 1]]
+            lines.append(f"L {n if a else -n}")
         else:
-            d = node[2]
-            dnum = num[d] if (d is not None and not is_pseudo_decision(d)) else 0
-            lines.append(f"O {dnum} " + " ".join(str(x) for x in (len(node[1]),) + node[1]))
+            if kind == AND:
+                head = "A"
+            else:
+                head = f"O {num[a] if a is not None and not is_pseudo_decision(a) else 0}"
+            lines.append(" ".join([head, str(len(ks)), *map(str, ks)]))
     return "\n".join(lines) + "\n"
 
 
 def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit:
-    """Parse the text format; the last node is the output.
+    """Parse the text format node for node; the last node is the output.
 
     When no explicit universe is given, variables are the integers
     1..n from the header.
@@ -775,7 +723,7 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
     variables = tuple(variables)
     if len(variables) != nvars:
         raise ValueError("universe size disagrees with header")
-    nodes: list[tuple] = []
+    columns: tuple = ([], [], [], [])
     for ln in lines[1:]:
         fields = ln.split()
         tag = fields[0]
@@ -784,29 +732,27 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
             [lit] = args
             if not (1 <= abs(lit) <= nvars):
                 raise ValueError(f"literal {lit} out of range")
-            nodes.append((LIT, variables[abs(lit) - 1], lit > 0))
+            bit = 1 << (abs(lit) - 1)
+            add_node(columns, LIT, (), *((bit, 0) if lit > 0 else (0, bit)))
         elif tag == "A":
             if not args or args[0] != len(args) - 1:
                 raise ValueError(f"bad And line: {ln}")
-            if args[0] == 0:
-                nodes.append((TRUE,))
-            else:
-                nodes.append((AND, tuple(args[1:])))
+            add_gate(columns, AND if args[0] else TRUE, tuple(args[1:]))
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise ValueError(f"bad Or line: {ln}")
             if not 0 <= args[0] <= nvars:
                 raise ValueError(f"decision variable {args[0]} out of range")
             if args[1] == 0:
-                nodes.append((FALSE,))
+                add_node(columns, FALSE)
             else:
                 d = variables[args[0] - 1] if args[0] else None
-                nodes.append((OR, tuple(args[2:]), d))
+                add_gate(columns, OR, tuple(args[2:]), d)
         else:
             raise ValueError(f"unknown node tag {tag}")
-    if len(nodes) != ncount:
+    if len(columns[0]) != ncount:
         raise ValueError("node count disagrees with header")
-    c = NnfCircuit(variables, nodes, len(nodes) - 1)
+    c = NnfCircuit(variables, variables, columns, ncount - 1)
     if c.edge_count != ecount:
         raise ValueError("edge count disagrees with header")
     return c

@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extform", help="emit the extended LP formulation")
     _add_instance_arg(p)
-    p.add_argument("--emit-lp", action="store_true",
-                   help="write the LP file to stdout (the default action)")
     p.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
     p.add_argument("--scale-objective", action="store_true",
                    help="clear fractional profits by a common integer factor")

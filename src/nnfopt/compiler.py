@@ -551,11 +551,11 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 stack.pop()
                 root = stop.value
     if root == _FAIL:
-        return NnfCircuit.from_columns(variables, base, ([FALSE], [()], [0], [0]), 0)
+        return NnfCircuit(variables, base, ([FALSE], [()], [0], [0]), 0)
     columns = (kinds, kids, pos, neg)
     if wasted:
         columns, root = _compact(columns, root)
-    return NnfCircuit.from_columns(variables, base, columns, root)
+    return NnfCircuit(variables, base, columns, root)
 
 
 def order_from_beta(h: Hypergraph) -> tuple[CnfVariable, ...]:

@@ -302,7 +302,7 @@ def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
             new.append(add_node(out, AND, tuple(ks)))
         else:
             new.append(add_node(out, kind, tuple(ks), pos[nid], neg[nid]))
-    return NnfCircuit.from_columns(c.variables, c.bit_variables, out, new[c.output])
+    return NnfCircuit(c.variables, c.bit_variables, out, new[c.output])
 
 
 def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dict]:

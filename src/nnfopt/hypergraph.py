@@ -64,8 +64,7 @@ class Graph:
 class Hypergraph:
     """A (multi)hypergraph: ordered vertices plus a sequence of edges."""
 
-    def __init__(self, vertices: Iterable, edges: Iterable[Iterable] = (),
-                 allow_empty_edges: bool = False) -> None:
+    def __init__(self, vertices: Iterable, edges: Iterable[Iterable] = ()) -> None:
         self.vertices = tuple(dict.fromkeys(vertices))
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
@@ -73,7 +72,7 @@ class Hypergraph:
         frozen = []
         for e in edges:
             fe = frozenset(e)
-            if not fe and not allow_empty_edges:
+            if not fe:
                 raise ValueError("empty edge rejected")
             if not fe <= vset:
                 raise ValueError(f"edge {sorted(fe)} mentions undeclared vertices")

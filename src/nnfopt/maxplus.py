@@ -53,9 +53,6 @@ class WeightFunction:
         return sum((self._w[(v, int(assignment[v]))] for v in self.universe),
                    Fraction(0))
 
-    def slack(self, var) -> Fraction:
-        return max(self._w[(var, 0)], self._w[(var, 1)])
-
     def slack_bit(self, var) -> int:
         # prefers 0 on ties, so greedy completions lean lexicographically small
         return 0 if self._w[(var, 0)] >= self._w[(var, 1)] else 1

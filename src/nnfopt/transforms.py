@@ -198,7 +198,7 @@ def _finish(c: NnfCircuit, columns: tuple, output: int, size: int, p: int) -> Nn
     O((p+1)^2) nodes and edges; the bound allows 3(p+2)^2 per unit of
     size and p + 2 for the final Or.
     """
-    built = NnfCircuit.from_columns(c.variables, c.bit_variables, columns, output)
+    built = NnfCircuit(c.variables, c.bit_variables, columns, output)
     if built.node_count + built.edge_count > 3 * (p + 2) ** 2 * max(size, 1) + p + 2:
         raise RuntimeError("transform exceeded its size bound")
     return built

@@ -181,15 +181,14 @@ def random_formula(rng: random.Random, max_vars: int = 6,
 
 
 def variable_sets(c) -> list:
-    """The variables each node mentions, from the record view."""
+    """The variables each node mentions, through record_kids."""
+    kinds, _, pos, neg = c.columns
     sets: list = []
-    for node in c.nodes:
-        if node[0] == "L":
-            sets.append(frozenset((node[1],)))
-        elif node[0] in ("A", "O"):
-            sets.append(frozenset().union(*(sets[ch] for ch in node[1])))
+    for kind, ks, a, b in zip(kinds, c.record_kids, pos, neg):
+        if kind == "L":
+            sets.append(frozenset((c.bit_variables[(a | b).bit_length() - 1],)))
         else:
-            sets.append(frozenset())
+            sets.append(frozenset().union(*(sets[ch] for ch in ks)))
     return sets
 
 

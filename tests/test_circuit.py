@@ -12,7 +12,7 @@ from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     from_nnf_text, model_count, normalize_for_extform, reroot,
                     smooth_binary_form, to_nnf_text)
 from nnfopt import NnfCircuit, optimize, weights_from_profits
-from nnfopt.circuit import AND, FALSE, LIT, OR, check_normalized
+from nnfopt.circuit import AND, FALSE, LIT, OR, TRUE, check_normalized
 
 
 def rows_of(c):
@@ -84,21 +84,20 @@ class TestNormalizeForExtform:
         b = CircuitBuilder(("x",))
         c = b.finish(b.literal("x", True))
         n = normalize_for_extform(c)
-        assert n.nodes[n.output][0] == OR
+        assert n.columns[0][n.output] == OR
         check_normalized(n)
         assert rows_of(n) == rows_of(c)
 
     def test_duplicate_literals_merged(self):
-        b = CircuitBuilder(("x", "y"))
-        # same positive literal used twice without builder dedup
-        l1 = b._add(("L", "x", True))
-        l2 = b._add(("L", "x", True))
-        out = b.add_or((b.add_and((l1, b.literal("y", True))),
-                        b.add_and((l2, b.literal("y", False)))), "y")
-        n = normalize_for_extform(b.finish(out))
+        # the positive literal of x on two nodes, one under each branch
+        c = from_nnf_text("nnf 7 6 2\nL 1\nL 1\nL 2\nA 2 0 2\nL -2\nA 2 1 4\nO 2 2 3 5\n",
+                          ("x", "y"))
+        n = normalize_for_extform(c)
         check_normalized(n)
-        lits = [node for node in n.nodes if node[0] == "L"]
-        assert len(lits) == len({(node[1], node[2]) for node in lits})
+        kinds, _, pos, neg = n.columns
+        lits = [(a, b) for kind, a, b in zip(kinds, pos, neg) if kind == LIT]
+        assert len(lits) == len(set(lits)) == 3
+        assert rows_of(n) == rows_of(c)
 
     def test_dead_nodes_pruned(self):
         b = CircuitBuilder(("x",))
@@ -112,7 +111,7 @@ class TestNormalizeForExtform:
     def test_unsat_becomes_childless_or(self):
         c = single_node("F", ("x",))
         n = normalize_for_extform(c)
-        assert n.nodes[n.output] == (OR, (), None)
+        assert [col[n.output] for col in n.columns] == [OR, (), None, 0]
         assert rows_of(n) == set()
 
     def test_corpus_roundtrip(self):
@@ -127,7 +126,7 @@ class TestNormalizeForExtform:
         n2 = normalize_for_extform(n1)
         check_normalized(n1)
         assert rows_of(n1) == rows_of(fig_ddnnf())
-        assert [n[0] for n in n1.nodes] == [n[0] for n in n2.nodes]
+        assert n1.columns[0] == n2.columns[0]
 
     def test_or_with_true_child(self):
         b = CircuitBuilder(("x",))
@@ -161,24 +160,26 @@ class TestNormalizeForExtform:
                 3 * len(c.variables)
 
 
-X, NX, Y, NY = (LIT, "x", True), (LIT, "x", False), (LIT, "y", True), (LIT, "y", False)
+# nodes over (x, y) as column rows: (kind, kids, pos, neg)
+X, NX, Y, NY = (LIT, (), 1, 0), (LIT, (), 0, 1), (LIT, (), 2, 0), (LIT, (), 0, 2)
 
 
 class TestCheckNormalized:
-    # one hand-built circuit over (x, y) per rule: nodes, output, message
+    # one hand-built circuit per rule: nodes, output, message
     @pytest.mark.parametrize("nodes, output, message", [
         ([X], 0, "output must be an Or node"),
-        ([X, (OR, (0,), None), (AND, (1,))], 1, "output must have no outgoing edges"),
-        ([X, NX, (OR, (0,), None)], 2, "every node must lie on a path to the output"),
-        ([X, X, Y, NY, (AND, (0, 2)), (AND, (1, 3)), (OR, (4, 5), "y")], 6,
+        ([X, (OR, (0,), None, 0), (AND, (1,), 0, 0)], 1, "output must have no outgoing edges"),
+        ([X, NX, (OR, (0,), None, 0)], 2, "every node must lie on a path to the output"),
+        ([X, X, Y, NY, (AND, (0, 2), 0, 0), (AND, (1, 3), 0, 0), (OR, (4, 5), "y", 0)], 6,
          "each literal may label at most one input"),
-        ([(FALSE,), X, (OR, (0, 1), None)], 2, "false nodes must be folded away"),
-        ([X, (OR, (0,), None), (AND, (0, 1)), (OR, (2,), None)], 3,
+        ([(FALSE, (), 0, 0), X, (OR, (0, 1), None, 0)], 2, "false nodes must be folded away"),
+        ([X, (OR, (0,), None, 0), (AND, (0, 1), 0, 0), (OR, (2,), None, 0)], 3,
          "circuit must be decomposable"),
-        ([X, NX, Y, (AND, (1, 2)), (OR, (0, 3), "x")], 4, "circuit must be smooth"),
+        ([X, NX, Y, (AND, (1, 2), 0, 0), (OR, (0, 3), "x", 0)], 4, "circuit must be smooth"),
     ])
     def test_rule(self, nodes, output, message):
-        c = NnfCircuit(("x", "y"), nodes, output)
+        columns = tuple(list(col) for col in zip(*nodes))
+        c = NnfCircuit(("x", "y"), ("x", "y"), columns, output)
         with pytest.raises(ValueError, match=message):
             check_normalized(c)
         if message.endswith("smooth"):
@@ -190,7 +191,8 @@ class TestSmoothBinaryForm:
         rng = random.Random(8)
         for c in circuit_corpus(rng, count=6):
             s = smooth_binary_form(c)
-            assert all(len(n[1]) <= 2 for n in s.nodes if n[0] == AND)
+            assert all(len(ks) <= 2 for kind, ks in zip(s.columns[0], s.record_kids)
+                       if kind == AND)
             rep = check_structure(s)
             assert rep.smooth and rep.decomposable and rep.deterministic
             rows = rows_of(c)
@@ -203,7 +205,8 @@ class TestSmoothBinaryForm:
         c = b.finish(b.add_and((b.literal("x", True), b.literal("y", True),
                                 b.literal("z", True))))
         s = smooth_binary_form(c)
-        assert all(len(n[1]) <= 2 for n in s.nodes if n[0] == AND)
+        assert all(len(ks) <= 2 for kind, ks in zip(s.columns[0], s.record_kids)
+                   if kind == AND)
         assert rows_of(s) == rows_of(c) == {(1, 1, 1)}
         assert s.edge_count <= 2 * c.edge_count
 
@@ -253,7 +256,7 @@ class TestEnumeration:
 class TestReroot:
     def test_reroot_counts_subfunctions(self):
         c = fig_ddnnf()
-        or_nodes = [i for i, n in enumerate(c.nodes) if n[0] == OR]
+        or_nodes = [i for i, kind in enumerate(c.columns[0]) if kind == OR]
         sub = reroot(c, or_nodes[0])
         assert model_count(sub) >= 1
         assert set(sub.variables) == set(c.variables)
@@ -276,7 +279,7 @@ class TestNnfText:
 
     def test_constants_parse(self):
         c = from_nnf_text("nnf 2 0 1\nA 0\nO 0 0\n")
-        assert c.nodes[0][0] == "T" and c.nodes[1][0] == "F"
+        assert c.columns[0] == ["T", "F"]
         assert to_nnf_text(c) == "nnf 2 0 1\nA 0\nO 0 0\n"
 
     def test_bad_header_rejected(self):
@@ -290,6 +293,41 @@ class TestNnfText:
         assert rep.decomposable and not rep.deterministic
         with pytest.raises(ValueError):
             model_count(c)
+
+    def test_repeated_nodes_parse_node_for_node(self):
+        text = ("nnf 9 7 1\nL 1\nL 1\nA 0\nA 0\nO 0 0\nO 0 0\n"
+                "A 2 0 2\nA 2 1 3\nO 0 3 6 7 5\n")
+        c = from_nnf_text(text)
+        assert c.columns[0] == [LIT, LIT, TRUE, TRUE, FALSE, FALSE, AND, AND, OR]
+        assert c.record_kids[6:] == ((0, 2), (1, 3), (6, 7, 5))
+        assert to_nnf_text(c) == text
+
+
+class TestConstructorRules:
+    # each rule the builder and the text parser enforce, by its message
+    @pytest.mark.parametrize("variables, output, message", [
+        (("x", "x"), lambda b: b.true(), "duplicate variables in universe"),
+        (("x",), lambda b: b.literal("z", True), "literal over undeclared variable z"),
+        (("x",), lambda b: b.add_and((b.literal("x", True), 1)), "children must precede"),
+        (("x",), lambda b: b.add_and((-1,)), "children must precede their parent"),
+        (("x",), lambda b: b.literal("x", True) + 1, "output id out of range"),
+        (("x",), lambda b: b.literal("x", True) - 1, "output id out of range"),
+    ])
+    def test_builder(self, variables, output, message):
+        with pytest.raises(ValueError, match=message):
+            b = CircuitBuilder(variables)
+            b.finish(output(b))
+
+    @pytest.mark.parametrize("text, variables, message", [
+        ("nnf 1 0 2\nA 0\n", ("x", "x"), "duplicate variables in universe"),
+        ("nnf 1 0 1\nL 2\n", None, "literal 2 out of range"),
+        ("nnf 2 2 1\nL 1\nA 2 0 1\n", None, "children must precede their parent"),
+        ("nnf 2 1 1\nL 1\nO 1 1 -1\n", None, "children must precede their parent"),
+        ("nnf 0 0 1\n", None, "output id out of range"),
+    ])
+    def test_text(self, text, variables, message):
+        with pytest.raises(ValueError, match=message):
+            from_nnf_text(text, variables)
 
 
 NNF_TAGS = ["L", "A", "O", "X", "c", "nnf"]
@@ -332,13 +370,14 @@ class TestNnfTextFuzz:
 
 class TestLiteralBlocks:
     def test_compiled_circuit_equals_its_record_view(self):
-        # the compiler writes literal blocks; a circuit rebuilt from the
-        # expanded records must answer every query alike
+        # the compiler writes literal blocks; the circuit read back from its
+        # text, where each block is written as edges, must answer every
+        # query alike
         rng = random.Random(7)
         for _ in range(30):
             inst = random_instance(rng, max_v=5, max_e=5, max_deg=3)
             c = compile_formula(encode_basic(inst))
-            flat = NnfCircuit(c.variables, c.nodes, c.output)
+            flat = from_nnf_text(to_nnf_text(c), c.variables)
             assert c.edge_count == flat.edge_count == sum(map(len, c.record_kids))
             assert check_structure(c) == check_structure(flat)
             w = weights_from_profits(inst)
@@ -347,12 +386,12 @@ class TestLiteralBlocks:
                 assert evaluate(c, a) == evaluate(flat, a)
 
     def block_circuit(self, columns, output):
-        return NnfCircuit.from_columns(("a", "b"), ("a", "b"), columns, output)
+        return NnfCircuit(("a", "b"), ("a", "b"), columns, output)
 
     def test_block_with_both_signs_is_not_decomposable(self):
         c = self.block_circuit(([LIT, LIT, AND], [(), (), ()], [1, 0, 1], [0, 1, 1]), 2)
         assert not check_structure(c).decomposable
-        assert c.nodes[2] == (AND, (0, 1))
+        assert c.record_kids[2] == (0, 1)
 
     def test_block_overlapping_its_child_is_not_decomposable(self):
         # And(block {a}, child And(block {a, b}))

@@ -221,6 +221,25 @@ EXTFORM_SHA256 = {
         "cd42fc7f5c38375c1be103deefa12c01adde1d4952dbb01f2198c21e561b7ec1",
 }
 
+# SHA-256 of the circuit text `nnfopt compile --emit-nnf` writes; the
+# compiler and the text writer must keep these bytes unchanged
+EMIT_NNF_SHA256 = {
+    "labs-8-3": "891940660a63ed92e0e9e0f3b245774f65e92d12d4f11f29c439eefd24f69d3c",
+    "cyclic": "1e0e0c54f492861e598b74b318ff4ea57ba58267c08fae29dbbcc755e9177c4e",
+}
+
+
+class TestEmitNnfPinned:
+    @pytest.mark.parametrize("name", sorted(EMIT_NNF_SHA256))
+    def test_circuit_text_pinned(self, capsys, name):
+        if name == "labs-8-3":
+            _, text = run(capsys, "gen-labs", "8", "3")
+        else:
+            text = CYCLIC_TEXT
+        code, out = run(capsys, "compile", "--emit-nnf", "-", stdin=text)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EMIT_NNF_SHA256[name]
+
 
 class TestExtform:
     def test_emit_lp(self, capsys, example):

@@ -107,7 +107,7 @@ class TestCompileDeterminism:
         f = encode_basic(worked_example())
         c1 = compile_formula(f)
         c2 = compile_formula(f)
-        assert c1.nodes == c2.nodes and c1.output == c2.output
+        assert c1.columns == c2.columns and c1.output == c2.output
 
     def test_order_hint_changes_shape_not_models(self):
         f = encode_basic(worked_example())

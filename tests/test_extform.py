@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from corpus import circuit_corpus, fig_ddnnf, worked_example
-from nnfopt import (CircuitBuilder, NnfCircuit, build_system, certificate_point,
+from nnfopt import (CircuitBuilder, build_system, certificate_point,
                     certificate_tree_cost, compile_formula, dual_optimize,
                     encode_basic, enumerate_certificates, enumerate_models,
-                    normalize_for_extform, optimize, to_lp_text,
+                    from_nnf_text, normalize_for_extform, optimize, to_lp_text,
                     tu_counterexample_check, validate_certificate,
                     weight_edge_costs, weights_from_profits)
-from nnfopt.circuit import AND, FALSE, LIT, OR
 from nnfopt.cnf import CnfVariable
 from nnfopt.extform import _determinant, non_tu_witness_circuit
 from nnfopt.maxplus import WeightFunction
@@ -99,8 +98,9 @@ class TestBuildSystem:
         rng = random.Random(61)
         for c in normalized_corpus(rng):
             system = build_system(c, include_x=True)
-            n_or = sum(1 for n in c.nodes if n[0] == "O")
-            and_fanin = sum(len(n[1]) for n in c.nodes if n[0] == "A")
+            n_or = c.columns[0].count("O")
+            and_fanin = sum(len(ks) for kind, ks in zip(c.columns[0], c.record_kids)
+                            if kind == "A")
             bound = 2 + (n_or - 1) + and_fanin + c.edge_count + len(c.variables)
             assert len(system.rows) <= bound
 
@@ -177,8 +177,8 @@ class TestCertificates:
 
 class TestValidateCertificate:
     # Or(And(x, y), -x, false) over (x, y); one certificate per rule
-    circuit = NnfCircuit(("x", "y"), [(LIT, "x", True), (LIT, "x", False), (LIT, "y", True),
-                                      (FALSE,), (AND, (0, 2)), (OR, (4, 1, 3), None)], 5)
+    circuit = from_nnf_text("nnf 6 5 2\nL 1\nL -1\nL 2\nO 0 0\nA 2 0 2\nO 0 3 4 1 3\n",
+                            ("x", "y"))
 
     @pytest.mark.parametrize("gates, message", [
         ({4, 0, 2}, "certificate must contain the output"),

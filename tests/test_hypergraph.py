@@ -28,8 +28,6 @@ class TestHypergraphBasics:
     def test_empty_edges_rejected_by_default(self):
         with pytest.raises(ValueError):
             Hypergraph([1], [set()])
-        h = Hypergraph([1], [set()], allow_empty_edges=True)
-        assert h.edges == (frozenset(),)
 
     def test_multiset_edges_keep_positions(self):
         h = Hypergraph([1, 2], [{1, 2}, {1, 2}])

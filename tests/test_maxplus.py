@@ -214,8 +214,8 @@ class TestTopKOracle:
             c = random_decision_dnnf(rng, universe)
             vs = variable_sets(c)
             free_output += vs[c.output] != set(universe)
-            free_or_child += any(node[0] == "O" and vs[ch] != vs[nid]
-                                 for nid, node in enumerate(c.nodes)
+            free_or_child += any(kind == "O" and vs[ch] != vs[nid]
+                                 for nid, kind in enumerate(c.columns[0])
                                  for ch in c.record_kids[nid])
             table = {(v, bit): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for v in universe for bit in (0, 1)}

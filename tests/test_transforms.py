@@ -264,8 +264,8 @@ class TestColumnarCopyOracle:
             c = random_decision_dnnf(rng, universe)
             vs = variable_sets(c)
             free_output += vs[c.output] != set(universe)
-            free_or_child += any(node[0] == "O" and vs[ch] != vs[nid]
-                                 for nid, node in enumerate(c.nodes)
+            free_or_child += any(kind == "O" and vs[ch] != vs[nid]
+                                 for nid, kind in enumerate(c.columns[0])
                                  for ch in c.record_kids[nid])
             feasible += check_transforms(rng, c)
         assert free_output > 20 and free_or_child > 20 and feasible > 50
