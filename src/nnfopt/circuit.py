@@ -12,6 +12,12 @@ may hold a literal block: its literal children as two masks (positive
 and negative literals).  The compiler, CircuitBuilder and the text
 parser write that form, so compiled output costs a few words per
 decision node; every query, rebuild and the text writer reads it.
+
+The passes that read a circuit as if it were smooth (model counting,
+enumeration, top-k, the cardinality and knapsack copies and the extform
+normal form) are semirings over one bottom-up pass, smooth_fold: it
+keeps the variables each node mentions and pads Or children and the
+output over those they miss, so no pass builds the smooth form.
 Edges are first class: downstream linear systems attach one unknown per
 edge id, numbered as NnfCircuit states.
 """
@@ -20,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 FALSE, TRUE, LIT, AND, OR = "F", "T", "L", "A", "O"
@@ -96,14 +103,19 @@ class NnfCircuit:
         return {v: i for i, v in enumerate(self.bit_variables)}
 
     @cached_property
+    def universe_rank(self) -> tuple:
+        """Universe position of the variable at each bit position."""
+        upos = {v: i for i, v in enumerate(self.variables)}
+        return tuple(upos[v] for v in self.bit_variables)
+
+    @cached_property
     def record_kids(self) -> tuple:
         """Each node's children with its literal block expanded: the block's
         literal nodes, in universe order, ahead of the other kids."""
         kinds, kids, pos, neg = self.columns
         if not any(a or b for kind, a, b in zip(kinds, pos, neg) if kind == AND):
             return tuple(kids)
-        upos = {v: i for i, v in enumerate(self.variables)}
-        rank = [upos[v] for v in self.bit_variables]
+        rank = self.universe_rank
         lit_id: dict = {}
         for nid, kind in enumerate(kinds):
             if kind == LIT:
@@ -411,6 +423,48 @@ def fold_constants(c: NnfCircuit) -> tuple[tuple, int]:
     return c._folded
 
 
+def smooth_fold(c: NnfCircuit, rows: Iterable, root: int, leaf, and_, or_, pad, one, zero):
+    """Evaluate a decomposable circuit bottom-up as if it were smooth over
+    its universe, without building the smooth form.
+
+    rows are (nid, kind, kids, a, b), ascending: zip(count(), *c.columns)
+    or fold_constants(c)'s live rows, whose root may be FOLD_TRUE or
+    FOLD_FALSE.  Tracking the variables each node mentions, the fold calls
+    leaf(a, b) per literal, and_(a, b, values) per And node with literal
+    block a, b, and or_(marker, values) per Or node, each child's value
+    padded first by pad(value, missing) when the mask of the variables it
+    misses is nonzero.  TRUE and FALSE nodes and a constant root are one
+    and zero.  A false root gives zero unpadded; any other root's value
+    comes back padded to the whole universe.
+    """
+    vm = [0] * c.node_count     # variables mentioned
+    val: list = [None] * c.node_count
+    for nid, kind, ks, a, b in rows:
+        if kind == AND:
+            m = a | b
+            for r in ks:
+                m |= vm[r]
+            vm[nid] = m
+            val[nid] = and_(a, b, [val[r] for r in ks])
+        elif kind == OR:
+            m = 0
+            for r in ks:
+                m |= vm[r]
+            vm[nid] = m
+            val[nid] = or_(a, [pad(val[r], missing) if (missing := m ^ vm[r]) else val[r]
+                               for r in ks])
+        elif kind == LIT:
+            vm[nid] = a | b
+            val[nid] = leaf(a, b)
+        else:
+            val[nid] = one if kind == TRUE else zero
+    if root == FOLD_FALSE or root >= 0 and c.columns[0][root] == FALSE:
+        return zero
+    value, m = (one, 0) if root == FOLD_TRUE else (val[root], vm[root])
+    missing = ((1 << len(c.variables)) - 1) ^ m
+    return pad(value, missing) if missing else value
+
+
 def add_node(columns: tuple, kind, kids: tuple = (), a=0, b=0) -> int:
     """Append a node to (kinds, kids, pos, neg) lists; returns its id."""
     kinds, ks, pos, neg = columns
@@ -471,21 +525,17 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     constants, and every node on a path to the output.  An unsatisfiable
     circuit becomes a childless Or output.
 
-    One pass over the folded columnar view: each literal is copied once,
-    and each Or child is padded as And(child, gadget...) over the
-    variables it misses, in universe order, where the gadget of a
-    variable is Or(positive, negative) marked by that variable.  The
-    output is padded to the whole universe and, unless it is an Or,
-    wrapped in a unary Or.  Literal blocks stay whole.
+    A copy by smooth_fold over the folded rows: each literal is copied
+    once, and padding writes And(child, gadget...) over the missing
+    variables, in universe order, where the gadget of a variable is
+    Or(positive, negative) marked by that variable.  The padded output,
+    unless it is an Or, is wrapped in a unary Or.  Literal blocks stay
+    whole.
     """
     if not check_structure(c).decomposable:
         raise ValueError("normalization requires a decomposable circuit")
     bv = c.bit_variables
-    live, root = fold_constants(c)
-    if root == FOLD_FALSE:
-        return NnfCircuit(c.variables, bv, ([OR], [()], [None], [0]), 0)
-    upos = {v: i for i, v in enumerate(c.variables)}
-    rank = [upos[v] for v in bv]
+    rank = c.universe_rank
     out = ([], [], [], [])
     lits: dict = {}         # (pos, neg) -> literal node
     gadgets: dict = {}      # bit -> its gadget
@@ -502,32 +552,17 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
             got = gadgets[i] = add_node(out, OR, (literal(1 << i, 0), literal(0, 1 << i)), bv[i])
         return got
 
-    def padding(missing: int) -> list:
-        return [gadget(i) for i in sorted(mask_bits(missing), key=rank.__getitem__)]
+    def pad(node, missing: int) -> int:     # node None stands for true
+        pads = [gadget(i) for i in sorted(mask_bits(missing), key=rank.__getitem__)]
+        return add_node(out, AND, tuple(pads) if node is None else (node, *pads))
 
-    new = [0] * len(c.columns[0])   # live input node -> its copy
-    vm = [0] * len(c.columns[0])    # live input node -> variables mentioned
-    for nid, kind, ks, a, b in live:
-        m = a | b if kind != OR else 0
-        for r in ks:
-            m |= vm[r]
-        vm[nid] = m
-        if kind == LIT:
-            new[nid] = literal(a, b)
-        elif kind == AND:
-            new[nid] = add_node(out, AND, tuple(new[r] for r in ks), a, b)
-        else:
-            new[nid] = add_node(out, OR, tuple(
-                add_node(out, AND, (new[r], *padding(m ^ vm[r]))) if m ^ vm[r] else new[r]
-                for r in ks), a)
-    everything = (1 << len(bv)) - 1
-    if root == FOLD_TRUE:
-        top = add_node(out, AND, tuple(padding(everything))) if everything \
-            else add_node(out, TRUE)
-    elif everything ^ vm[root]:
-        top = add_node(out, AND, (new[root], *padding(everything ^ vm[root])))
-    else:
-        top = new[root]
+    top = smooth_fold(c, *fold_constants(c), literal,
+                      lambda a, b, ks: add_node(out, AND, tuple(ks), a, b),
+                      lambda d, ks: add_node(out, OR, tuple(ks), d), pad, None, FOLD_FALSE)
+    if top == FOLD_FALSE:
+        return NnfCircuit(c.variables, bv, ([OR], [()], [None], [0]), 0)
+    if top is None:
+        top = add_node(out, TRUE)
     if out[0][top] != OR:
         top = add_node(out, OR, (top,), None)
     columns, top = _compact(out, top)
@@ -538,7 +573,7 @@ def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
     """Smooth circuit covering the full universe with And fan-in at most two.
 
     The normal form of normalize_for_extform, with each wider And split
-    into right-nested binary And nodes over its record-view children.
+    into right-nested binary And nodes over its record_kids.
     The cardinality and knapsack transforms copy a circuit as if it were
     in this form, with the same alternatives in the same order, but on
     the columnar view and without building it.
@@ -602,25 +637,10 @@ def model_count(c: NnfCircuit) -> int:
     rep = check_structure(c)
     if not (rep.decomposable and rep.deterministic):
         raise ValueError("model counting needs a decomposable, deterministic circuit")
-    vm: list = []       # variables mentioned, per node
-    counts: list = []
-    for kind, ks, a, b in zip(*c.columns):
-        if kind == AND or kind == LIT:     # a block's literals have one model
-            m, n = a | b, 1
-            for ch in ks:
-                m |= vm[ch]
-                n *= counts[ch]
-        elif kind == OR:
-            m = 0
-            for ch in ks:
-                m |= vm[ch]
-            n = sum(counts[ch] << (m ^ vm[ch]).bit_count() for ch in ks)
-        else:
-            m, n = 0, int(kind == TRUE)
-        vm.append(m)
-        counts.append(n)
-    free = len(c.variables) - vm[c.output].bit_count()
-    return counts[c.output] << free
+    # a block's literals have one model; padding doubles per missing variable
+    return smooth_fold(c, zip(count(), *c.columns), c.output, lambda a, b: 1,
+                       lambda a, b, counts: prod(counts), lambda d, counts: sum(counts),
+                       lambda n, missing: n << missing.bit_count(), 1, 0)
 
 
 def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
@@ -634,6 +654,11 @@ def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
     if not check_structure(c).decomposable:
         raise ValueError("model enumeration needs a decomposable circuit")
 
+    def capped(models):
+        if len(models) > cap:
+            raise CapExceeded("model cap exceeded")
+        return models
+
     def completed(models, free: int) -> list:
         if len(models) << free.bit_count() > cap:
             raise CapExceeded("model cap exceeded")
@@ -642,33 +667,19 @@ def enumerate_models(c: NnfCircuit, cap: int = 100000) -> list[dict]:
             out += [x | 1 << i for x in out]
         return out
 
-    vm: list = []       # variables mentioned, per node
-    sets: list = []     # models over those variables, per node
-    for kind, ks, a, b in zip(*c.columns):
-        if kind == AND or kind == LIT:
-            m, acc = a | b, {a}
-            for ch in ks:
-                if len(acc) * len(sets[ch]) > cap:
-                    raise CapExceeded("model cap exceeded")
-                m |= vm[ch]
-                acc = {x | y for x in acc for y in sets[ch]}
-        elif kind == OR:
-            m, acc = 0, set()
-            for ch in ks:
-                m |= vm[ch]
-            for ch in ks:
-                acc.update(completed(sets[ch], m ^ vm[ch]))
-        else:
-            m, acc = 0, {0} if kind == TRUE else set()
-        if len(acc) > cap:
-            raise CapExceeded("model cap exceeded")
-        vm.append(m)
-        sets.append(acc)
+    def product(a: int, b: int, sets: list) -> set:
+        acc = {a}
+        for models in sets:
+            if len(acc) * len(models) > cap:
+                raise CapExceeded("model cap exceeded")
+            acc = {x | y for x in acc for y in models}
+        return capped(acc)
 
-    everything = (1 << len(c.variables)) - 1
+    models = capped(smooth_fold(c, zip(count(), *c.columns), c.output, lambda a, b: {a},
+                                product, lambda d, sets: capped(set().union(*sets)),
+                                completed, {0}, set()))
     bits = [c.bit_index[v] for v in c.variables]
-    rows = sorted(tuple(x >> i & 1 for i in bits)
-                  for x in completed(sets[c.output], everything ^ vm[c.output]))
+    rows = sorted(tuple(x >> i & 1 for i in bits) for x in models)
     return [dict(zip(c.variables, row)) for row in rows]
 
 

@@ -446,7 +446,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
         if len(comps) > 1:
             comps.sort(key=lambda cp: first_clause(cp[0], cp[3], live, cp[2], pfree, a1))
 
-        # literal nodes first, in variable-number order, as the record view lists them
+        # literal nodes first, in variable-number order, as record_kids lists them
         if lits1 & unmade[1] or lits0 & unmade[0]:
             fresh1, fresh0 = lits1 & unmade[1], lits0 & unmade[0]
             order = sorted([(number[i], i, 1) for i in mask_bits(fresh1)]

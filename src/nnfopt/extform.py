@@ -278,8 +278,8 @@ def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
     """Give every literal input a single out-edge by routing multi-parent
     literals through a fresh unary Or; the function is unchanged.
 
-    The copy writes each node's record-view children as plain kids, so
-    edge ids keep their order with relays in place of literals.
+    The copy writes each node's record_kids as plain kids, so edge ids
+    keep their order with relays in place of literals.
     """
     kinds, _, pos, neg = c.columns
     record_kids = c.record_kids
@@ -298,7 +298,7 @@ def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
                 ks.append(relays[ch])
             else:
                 ks.append(new[ch])
-        if kind == AND:     # its block is among the record-view children
+        if kind == AND:     # its block is among its record_kids
             new.append(add_node(out, AND, tuple(ks)))
         else:
             new.append(add_node(out, kind, tuple(ks), pos[nid], neg[nid]))

@@ -4,11 +4,11 @@ Weights live in the semiring (Q with -infinity, max, +): an unsatisfiable
 circuit has value -infinity, satisfiable ones an exact rational optimum.
 The single-optimum query runs directly on non-smooth circuits by keeping,
 for every node, the best weight of a model of the node completed greedily
-on all remaining variables.  The top-k query reads the same columnar view
-without normalizing it: it keeps the k best models of every node over the
-variables the node mentions, and pads Or children and the output with the
-k best completions of the variables they miss.  Both passes run in scaled
-integers and make rationals only for the answers they return.
+on all remaining variables.  The top-k query is a semiring over
+circuit.smooth_fold: a node's value is its k best models over the
+variables it mentions, and the fold pads Or children and the output with
+the k best completions of the variables they miss.  Both passes run in
+scaled integers and make rationals only for the answers they return.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .circuit import (AND, LIT, OR, TRUE, NnfCircuit, check_structure, evaluate,
-                      mask_bits)
+                      mask_bits, smooth_fold)
 from .cnf import CnfVariable, instance_variables
 from .hypergraph import LiteralInstance
 
@@ -262,17 +262,16 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
 
     Returns fewer than k pairs exactly when the circuit has fewer models.
     Ties are broken toward lexicographically smaller assignments in
-    universe order.  One bottom-up pass over the columnar view keeps, per
-    node, the k best models over the variables the node mentions, as
-    ascending (regret, ones) pairs of ints: the scaled regret against the
+    universe order.  A semiring over smooth_fold keeps, per node, the k
+    best models over the variables the node mentions, as ascending
+    (regret, ones) pairs of ints: the scaled regret against the
     per-variable optimum (see _regret_planes) and the set bits, universe
     position i at bit n-1-i, so that tuple order is the output order.  A
     literal block is one constant entry, an And node takes the k best
-    products of its children, and an Or node merges its children after
-    padding each with the k best completions of the variables it misses
-    (memoized per missing-variable mask); the output is padded to the
-    whole universe.  Values and dicts are made only for the returned
-    pairs.
+    products of its children, and an Or node merges its padded children;
+    padding takes the k best products with the k best completions of the
+    missing variables, memoized per missing-variable mask.  Values and
+    dicts are made only for the returned pairs.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -281,11 +280,10 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
     _require_opt_structure(c)
     scale, total, r1, r0, planes1, planes0 = _regret_planes(c, w)
     n = len(c.variables)
-    upos = {v: i for i, v in enumerate(c.variables)}
-    ones_bit = [1 << (n - 1 - upos[v]) for v in c.bit_variables]
-    pads = {0: [(0, 0)]}
+    ones_bit = [1 << (n - 1 - r) for r in c.universe_rank]
+    pads: dict = {}     # missing-variable mask -> its k best completions
 
-    def padding(missing: int) -> list:
+    def pad(entries: list, missing: int) -> list:
         got = pads.get(missing)
         if got is None:
             got = [(0, 0)]
@@ -293,37 +291,17 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
                 pair = sorted(((r0[i], 0), (r1[i], ones_bit[i])))
                 got = _kbest_product(got, pair, k)
             pads[missing] = got
-        return got
+        return _kbest_product(entries, got, k)
 
-    kinds, kids, pos, neg = c.columns
-    vm: list = []       # variables mentioned, by bit position
-    lists: list = []
-    for kind, ks, a, b in zip(kinds, kids, pos, neg):
-        if kind == AND or kind == LIT:
-            m = a | b
-            regret = _block_regret(a, b, planes1, planes0)
-            ones = 0
-            while a:        # the block's positive literals, as ones bits
-                low = a & -a
-                ones |= ones_bit[low.bit_length() - 1]
-                a ^= low
-            acc = [(regret, ones)]
-            for ch in ks:
-                m |= vm[ch]
-                acc = _kbest_product(acc, lists[ch], k)
-        elif kind == OR:
-            m = 0
-            for ch in ks:
-                m |= vm[ch]
-            acc = list(islice(heapq.merge(*(
-                _kbest_product(lists[ch], padding(m & ~vm[ch]), k) for ch in ks)), k))
-        else:
-            m = 0
-            acc = [(0, 0)] if kind == TRUE else []
-        vm.append(m)
-        lists.append(acc)
+    def product(a: int, b: int, lists=()) -> list:
+        acc = [(_block_regret(a, b, planes1, planes0), sum(ones_bit[i] for i in mask_bits(a)))]
+        for entries in lists:
+            acc = _kbest_product(acc, entries, k)
+        return acc
 
-    out = _kbest_product(lists[c.output], padding(((1 << n) - 1) & ~vm[c.output]), k)
+    out = smooth_fold(c, zip(count(), *c.columns), c.output, product, product,
+                      lambda d, lists: list(islice(heapq.merge(*lists), k)),
+                      pad, [(0, 0)], [])
     result = []
     for r, ones in out:
         bits = format(ones, f"0{n}b") if n else ""

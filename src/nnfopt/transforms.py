@@ -4,23 +4,26 @@ Every node of a decomposable, deterministic circuit is copied once per
 achievable value of an integer contribution function (the count of set
 variables from a chosen subset, or a weighted sum), so that copy i of a
 node accepts exactly the node's models whose contribution is i.  The copy
-is one pass over the columnar view that writes a columnar circuit.
-Constants are folded on the way, and a literal block stays whole: it
-shifts the values of its node by a constant.  And nodes turn into
-right-nested convolutions of their children's copies, with a selector Or
-per value when several pairs of partial sums reach it; these selectors
-are deterministic because their children pin distinct partial sums, which
-is recorded as a pseudo-variable decision marker.  Or children and the
-output are padded with copies of the variables they miss.
+is a semiring over circuit.smooth_fold that writes a columnar circuit: a
+node's value is its table (value -> copy), and the fold pads Or children
+and the output over the variables they miss, here by convolving with
+chains of copied variables.  Constants are folded on the way, and a
+literal block stays whole: it shifts the values of its node by a
+constant.  And nodes turn into right-nested convolutions of their
+children's copies, with a selector Or per value when several pairs of
+partial sums reach it; these selectors are deterministic because their
+children pin distinct partial sums, which is recorded as a
+pseudo-variable decision marker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
-from .circuit import (AND, FALSE, FOLD_FALSE, FOLD_TRUE, LIT, OR, TRUE, NnfCircuit,
-                      add_node, check_structure, fold_constants, mask_bits)
+from .circuit import (AND, FALSE, LIT, OR, TRUE, NnfCircuit, add_node,
+                      check_structure, fold_constants, mask_bits, smooth_fold)
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,8 @@ class CardinalitySpec:
     def __init__(self, variables: Iterable, sums: Iterable[int]):
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "sums", frozenset(int(s) for s in sums))
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("counted variables must be distinct")
         bad = [s for s in self.sums if not 0 <= s <= len(self.variables)]
         if bad:
             raise ValueError(f"sums out of range: {sorted(bad)}")
@@ -65,7 +70,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
     value, a selector Or marked by marker holds them in ascending (left,
     right) order.  Ties in optimize thus see the children and
     alternatives in the order of smooth_binary_form(c).  Every literal
-    node of c is copied, so the record view can expand blocks.
+    node of c is copied first, so record_kids can expand blocks.
 
     Returns (columns, table, size): the columns written so far, the
     output's table (value -> node id, ascending) padded to the whole
@@ -81,12 +86,14 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
         if cv:
             val[bit[var]] = cv
             support |= 1 << bit[var]
-    upos = {v: i for i, v in enumerate(c.variables)}
-    rank = [upos[v] for v in bv]
+    rank = c.universe_rank
     out = ([], [], [], [])
     okinds, okids, opos, oneg = out
 
-    def selectors(alts: dict, mark) -> dict:
+    def selectors(pairs: Iterable, mark) -> dict:
+        alts: dict = {}
+        for s, x in pairs:
+            alts.setdefault(s, []).append(x)
         table = {}
         for s in sorted(alts):
             got = alts[s]
@@ -103,10 +110,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
         oneg.extend([0] * k)
         if len(t1) == 1 or len(t2) == 1:    # sums distinct and ascending
             return dict(zip(sums, range(start, start + k)))
-        alts: dict = {}
-        for s, node in zip(sums, range(start, start + k)):
-            alts.setdefault(s, []).append(node)
-        return selectors(alts, marker)
+        return selectors(zip(sums, range(start, start + k)), marker)
 
     lits: dict = {}     # (pos, neg) -> copied literal node
 
@@ -117,7 +121,8 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
         return got
 
     gadgets: dict = {}
-    pads: dict = {}
+    chains: dict = {}
+    size = c.node_count + c.edge_count
 
     def gadget(i: int) -> dict:
         got = gadgets.get(i)
@@ -131,63 +136,38 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
             gadgets[i] = got
         return got
 
-    def pad(missing: int) -> dict:
-        got = pads.get(missing)
+    def pad(table, missing: int) -> dict:   # table None stands for true
+        nonlocal size
+        size += missing.bit_count() + 2
+        got = chains.get(missing)
         if got is None:
-            chain = sorted(mask_bits(missing), key=rank.__getitem__)
-            got = gadget(chain.pop())
-            while chain:
-                got = conv(gadget(chain.pop()), got)
-            pads[missing] = got
-        return got
+            order = sorted(mask_bits(missing), key=rank.__getitem__)
+            got = gadget(order.pop())
+            while order:
+                got = conv(gadget(order.pop()), got)
+            chains[missing] = got
+        return got if table is None else conv(table, got)
+
+    def product(a: int, b: int, tables: list) -> dict:
+        if a or b:
+            shift = sum(val[i] for i in mask_bits(a & support))
+            tables.insert(0, {shift: add_node(out, AND, (), a, b)})
+        table = tables.pop()
+        while tables:
+            table = conv(tables.pop(), table)
+        return table
 
     live, root = fold_constants(c)
-    tab: list = [None] * c.node_count   # live input id -> its table
-    vm = [0] * c.node_count             # live input id -> variables mentioned
-    for nid, kind, _, a, b in live:
+    for _, kind, _, a, b in live:       # every literal first, in node order
         if kind == LIT:
-            tab[nid] = {val[a.bit_length() - 1] if a else 0: literal(a, b)}
-            vm[nid] = a | b
-    size = c.node_count + c.edge_count
-    for nid, kind, live_kids, a, b in live:
-        if kind == AND:
-            tables = [tab[r] for r in live_kids]
-            m = a | b
-            if m:
-                shift = sum(val[i] for i in mask_bits(a & support))
-                tables.insert(0, {shift: add_node(out, AND, (), a, b)})
-            for r in live_kids:
-                m |= vm[r]
-            table = tables.pop()
-            while tables:
-                table = conv(tables.pop(), table)
-            tab[nid], vm[nid] = table, m
-        elif kind == OR:
-            m = 0
-            for r in live_kids:
-                m |= vm[r]
-            alts: dict = {}
-            for r in live_kids:
-                table = tab[r]
-                missing = m ^ vm[r]
-                if missing:
-                    table = conv(table, pad(missing))
-                    size += missing.bit_count() + 2
-                for s, x in table.items():
-                    alts.setdefault(s, []).append(x)
-            tab[nid], vm[nid] = selectors(alts, a), m
-    missing = (1 << n) - 1
-    if root == FOLD_FALSE:
-        table = {}
-    elif root == FOLD_TRUE:
-        table = pad(missing) if missing else {0: add_node(out, TRUE)}
-    else:
-        table = tab[root]
-        missing ^= vm[root]
-        if missing:
-            table = conv(table, pad(missing))
-    if root != FOLD_FALSE and missing:
-        size += missing.bit_count() + 2
+            literal(a, b)
+    table = smooth_fold(c, live, root,
+                        lambda a, b: {val[a.bit_length() - 1] if a else 0: literal(a, b)},
+                        product, lambda mark, tables: selectors(
+                            chain.from_iterable(t.items() for t in tables), mark),
+                        pad, None, {})
+    if table is None:
+        table = {0: add_node(out, TRUE)}
     return out, table, size
 
 

@@ -1,0 +1,16 @@
+"""Rules the library's source files must keep."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nnfopt").glob("*.py"))
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, and the library's checks must
+    # survive it; raise an exception instead
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import (circuit_corpus, worked_example, poly_points_sorted,
-                    random_decision_dnnf, random_formula, random_instance,
-                    variable_sets)
+from corpus import (circuit_corpus, corpus_instance, worked_example,
+                    poly_points_sorted, random_decision_dnnf, random_formula,
+                    random_instance, variable_sets)
 from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig,
-                    WeightFunction, beta_elimination_order, check_structure,
-                    compile_formula, counting_transform, encode_basic, encode_ordered,
+                    WeightFunction, beta_elimination_order, brute_force,
+                    check_structure, compile_formula, compile_instance,
+                    counting_transform, encode_basic, encode_ordered,
                     enumerate_models, evaluate, knapsack_transform, model_count,
-                    optimize, project_solution, reroot, restrict_cardinality,
-                    weights_from_profits)
+                    normalize_for_extform, optimize, parse_instance,
+                    project_solution, reroot, restrict_cardinality, to_nnf_text,
+                    top_k, weights_from_profits)
 from nnfopt.cnf import CnfVariable
 
 
@@ -107,6 +109,14 @@ class TestRestrictCardinality:
     def test_out_of_range_sums_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             CardinalitySpec((x(1),), {2})
+
+    def test_repeated_counted_variables_rejected(self):
+        # the oracle would count a repeated vertex twice and the transform
+        # once, so neither may see such a spec
+        with pytest.raises(ValueError, match="counted variables must be distinct"):
+            brute_force(worked_example(), CardinalitySpec((1, 1), [2]))
+        with pytest.raises(ValueError, match="counted variables must be distinct"):
+            restrict_cardinality(compiled_worked(), CardinalitySpec((x(1), x(1)), {1}))
 
     def test_composition_matches_constrained_brute_force(self):
         rng = random.Random(47)
@@ -354,3 +364,107 @@ class TestColumnarCopyOracle:
             counting_transform(c, xvars(inst))
         with pytest.raises(RuntimeError, match="size bound"):
             knapsack_transform(c, {v: 1 for v in xvars(inst)}, 0, 6)
+
+
+PINNED_TRANSFORM_DIGEST = "d168ec3d32c3cc946d2b26158fefc0a562f848cec50373267a8708cdd3e2fd00"
+
+
+def interval_instance(rng, n: int = 16, count: int = 30):
+    """An interval hypergraph on a path of n vertices, as in the benchmark's
+    beta-intervals items: lengths 1..5 in turn, random signs and nonzero
+    rational profits."""
+    lines = []
+    for j in range(count):
+        length = 1 + j % 5
+        start = rng.randint(1, n - length + 1)
+        d = rng.randint(1, 4)
+        coeff = Fraction(rng.choice([i for i in range(-9 * d, 9 * d + 1) if i]), d)
+        lits = [f"v{v}" if rng.randint(0, 1) else f"~v{v}"
+                for v in range(start, start + length)]
+        lines.append(" ".join([str(coeff), *lits]))
+    return parse_instance("\n".join(lines) + "\n").instance
+
+
+def transform_texts(seed: int = 83):
+    """Circuit text of the restricted, knapsack, counted and
+    knapsack-after-restrict circuits (and the counted roots) of compiled
+    acceptance-corpus and interval instances."""
+    rng = random.Random(seed)
+    instances = [corpus_instance(rng) for _ in range(150)]
+    instances += [interval_instance(rng) for _ in range(12)]
+    for inst in instances:
+        c = compile_instance(inst)
+        xs = xvars(inst)
+        counted = tuple(rng.sample(xs, rng.randint(1, len(xs))))
+        sums = rng.sample(range(len(counted) + 1), rng.randint(1, len(counted) + 1))
+        coeffs = {v: rng.randint(-2, 3) for v in xs}
+        lo = rng.randint(-2, 3)
+        hi = lo + rng.randint(0, 4)
+        restricted = restrict_cardinality(c, CardinalitySpec(counted, sums))
+        counted_c, roots = counting_transform(c, counted)
+        yield to_nnf_text(restricted)
+        yield to_nnf_text(knapsack_transform(c, coeffs, lo, hi))
+        yield to_nnf_text(counted_c) + repr(roots)
+        yield to_nnf_text(knapsack_transform(restricted, coeffs, lo, hi + 1))
+
+
+class TestTransformsPinned:
+    def test_transform_circuits_pinned(self):
+        # the transforms' output, node for node, as the columnar copy wrote
+        # it before the copy moved onto the shared smooth fold
+        digest = hashlib.sha256()
+        for text in transform_texts():
+            digest.update(text.encode())
+        assert digest.hexdigest() == PINNED_TRANSFORM_DIGEST
+
+
+class TestConstantOutputs:
+    """TRUE and FALSE outputs over an empty and a one-variable universe,
+    through every pass that evaluates a circuit as if it were smooth."""
+
+    @staticmethod
+    def constant(universe, value):
+        b = CircuitBuilder(universe)
+        return b.finish(b.true() if value else b.false())
+
+    @staticmethod
+    def weights(universe):
+        return WeightFunction(universe, {(v, bit): (2, -1)[bit == 0]
+                                         for v in universe for bit in (0, 1)})
+
+    def test_model_count_and_enumeration(self):
+        got = [(model_count(c), enumerate_models(c))
+               for universe in ((), ("a",)) for value in (True, False)
+               for c in [self.constant(universe, value)]]
+        assert got == [(1, [{}]), (0, []), (2, [{"a": 0}, {"a": 1}]), (0, [])]
+
+    def test_top_k(self):
+        assert top_k(self.constant((), True), self.weights(()), 3) == [({}, 0)]
+        assert top_k(self.constant((), False), self.weights(()), 3) == []
+        assert top_k(self.constant(("a",), True), self.weights(("a",)), 3) == \
+            [({"a": 1}, 2), ({"a": 0}, -1)]
+        assert top_k(self.constant(("a",), False), self.weights(("a",)), 3) == []
+
+    def test_normal_form(self):
+        texts = [to_nnf_text(normalize_for_extform(self.constant(universe, value)))
+                 for universe in ((), ("a",)) for value in (True, False)]
+        assert texts == ["nnf 2 1 0\nA 0\nO 0 1 0\n", "nnf 1 0 0\nO 0 0\n",
+                         "nnf 5 4 1\nL 1\nL -1\nO 1 2 0 1\nA 1 2\nO 0 1 3\n",
+                         "nnf 1 0 1\nO 0 0\n"]
+
+    def test_cardinality_and_knapsack(self):
+        for universe, value, card, knap in (
+                ((), True, 0, NEG_INF), ((), False, NEG_INF, NEG_INF),
+                (("a",), True, -1, 2), (("a",), False, NEG_INF, NEG_INF)):
+            c = self.constant(universe, value)
+            w = self.weights(universe)
+            restricted = restrict_cardinality(c, CardinalitySpec(universe, {0}))
+            assert optimize(restricted, w).value == card
+            constrained = knapsack_transform(c, dict.fromkeys(universe, 2), 1, 2)
+            assert optimize(constrained, w).value == knap
+        counted, roots = counting_transform(self.constant(("a",), True), ("a",))
+        assert to_nnf_text(counted) == "nnf 3 2 1\nL 1\nL -1\nO 0 2 1 0\n"
+        assert roots == (1, 0)
+        counted, roots = counting_transform(self.constant((), False), ())
+        assert to_nnf_text(counted) == "nnf 2 0 0\nO 0 0\nO 0 0\n"
+        assert roots == (0,)
