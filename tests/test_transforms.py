@@ -429,7 +429,7 @@ class TestConstantOutputs:
 
     @staticmethod
     def weights(universe):
-        return WeightFunction(universe, {(v, bit): (2, -1)[bit == 0]
+        return WeightFunction(universe, {(v, bit): 2 if bit else -1
                                          for v in universe for bit in (0, 1)})
 
     def test_model_count_and_enumeration(self):
