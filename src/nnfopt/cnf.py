@@ -9,22 +9,26 @@ variable equals the product of its (polarity-adjusted) vertex bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import Graph, Hypergraph, LiteralInstance, vertex_node
 
 
-@dataclass(frozen=True, order=True)
-class CnfVariable:
-    """A typed variable: kind 'x' carries a vertex id, kind 'y' an edge position."""
+class CnfVariable(namedtuple("CnfVariable", "kind index")):
+    """A typed variable: kind 'x' carries a vertex id, kind 'y' an edge position.
 
-    kind: str
-    index: object
+    A tuple, so hashing, equality and ordering run in C; it equals the
+    plain tuple (kind, index), which therefore must not share a set or
+    dict with it.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("x", "y"):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index):
+        if kind not in ("x", "y"):
             raise ValueError("variable kind must be 'x' or 'y'")
+        return super().__new__(cls, kind, index)
 
     def __repr__(self) -> str:
         return f"{self.kind}{self.index}"

@@ -7,14 +7,24 @@ Integral solutions are exactly the indicator vectors of certificates
 (tree-shaped sub-DAGs picking one child per Or and all children per And),
 and the system is totally dual integral: a single forward pass builds an
 integral optimal dual for any integer edge costs.
+
+The system is stored as a few flat int lists (compressed sparse rows of
+(column number, +-1) entries, right-hand sides and small-int row tags),
+not as one Python object per row; `LinearSystem.rows` rebuilds a row as a
+`Row` tuple when it is read.  The dual runs in ints, with rational costs
+scaled by the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain
-from typing import Mapping, NamedTuple, Optional, Sequence
+from math import lcm
+from operator import mul
+from typing import Mapping, NamedTuple, Optional
 
 from .circuit import (AND, FALSE, LIT, OR, TRUE, CapExceeded, CircuitBuilder,
                       NnfCircuit, add_node, check_normalized)
@@ -35,87 +45,192 @@ class Row(NamedTuple):
         return v == self.rhs if self.relation == "=" else v >= self.rhs
 
 
-class LinearSystem:
-    """Sparse rows with coefficients in {-1, 0, 1} over named columns."""
+# row kinds in LinearSystem.kind; a row's tag is rebuilt from its kind,
+# node and edge numbers
+_OUT, _OR, _AND, _NONNEG, _PROJ = range(5)
 
-    def __init__(self, columns: Sequence, rows: Sequence[Row],
-                 column_names: Mapping) -> None:
-        self.columns = tuple(columns)
-        self.rows = tuple(rows)
-        self.column_names = dict(column_names)
-        for row in self.rows:
-            for col, k in row.coeffs:
-                if k not in (-1, 1):
-                    raise ValueError("coefficients must stay in {-1, 0, 1}")
-                if col not in self.column_names:
-                    raise ValueError(f"unknown column {col!r}")
+
+class LinearSystem:
+    """Sparse rows with coefficients in {-1, 1}, stored as flat int lists.
+
+    Column j < edge_count is the flow unknown ("y", j) of edge j, column
+    edge_count + i the projection unknown ("x", variables[i]).  The rows
+    are in compressed sparse row form: row r holds the entries
+    (col[k], coef[k]) for start[r] <= k < start[r + 1] and has right-hand
+    side rhs[r].  Rows nonneg[0] <= r < nonneg[1] read '>=', all others
+    '='.  kind[r], node[r] and edge[r] give row r's tag: ("out",),
+    ("or", node), ("and", node, edge), ("nonneg", edge) or
+    ("proj", variables[node]).
+
+    `rows` is a read-only sequence that builds each row as a Row on
+    access; `columns` and `column_names` are built on first use.
+    """
+
+    def __init__(self, edge_count: int, variables: Sequence, start: list, col: list,
+                 coef: list, rhs: list, nonneg: tuple, tags: tuple) -> None:
+        self.edge_count = edge_count
+        self.variables = tuple(variables)
+        self.start, self.col, self.coef, self.rhs = start, col, coef, rhs
+        self.nonneg = nonneg
+        self.kind, self.node, self.edge = tags
+        if (len(start) != len(rhs) + 1 or start[0] != 0 or start[-1] != len(col)
+                or len(coef) != len(col) or any(len(t) != len(rhs) for t in tags)):
+            raise ValueError("row arrays disagree in length")
+        if not set(coef) <= {-1, 1}:
+            raise ValueError("coefficients must stay in {-1, 0, 1}")
+        width = edge_count + len(self.variables)
+        if col and (min(col) < 0 or max(col) >= width):
+            bad = next(j for j in col if not 0 <= j < width)
+            raise ValueError(f"column {bad} out of range")
+
+    @cached_property
+    def columns(self) -> tuple:
+        return tuple([("y", e) for e in range(self.edge_count)] +
+                     [("x", var) for var in self.variables])
+
+    @cached_property
+    def column_names(self) -> dict:
+        names = [f"y{e}" for e in range(self.edge_count)]
+        names += [f"x{i}" for i in range(1, len(self.variables) + 1)]
+        return dict(zip(self.columns, names))
+
+    @property
+    def rows(self) -> "_RowView":
+        return _RowView(self)
+
+    def _tag(self, r: int) -> tuple:
+        kind = self.kind[r]
+        if kind == _OUT:
+            return ("out",)
+        if kind == _OR:
+            return ("or", self.node[r])
+        if kind == _AND:
+            return ("and", self.node[r], self.edge[r])
+        if kind == _NONNEG:
+            return ("nonneg", self.edge[r])
+        return ("proj", self.variables[self.node[r]])
 
     def row_by_tag(self, tag: tuple) -> Row:
-        for row in self.rows:
-            if row.tag == tag:
-                return row
+        for r in range(len(self.rhs)):
+            if self._tag(r) == tag:
+                return self.rows[r]
         raise KeyError(tag)
 
     def check_point(self, point: Mapping) -> bool:
-        return all(row.holds_at(point) for row in self.rows)
+        vals = [Fraction(point[col]) for col in self.columns]
+        start, col, coef = self.start, self.col, self.coef
+        lo, hi = self.nonneg
+        for r, rhs in enumerate(self.rhs):
+            a, b = start[r], start[r + 1]
+            v = sum(map(mul, map(vals.__getitem__, col[a:b]), coef[a:b]))
+            if not (v >= rhs if lo <= r < hi else v == rhs):
+                return False
+        return True
 
     def __repr__(self) -> str:
-        return f"LinearSystem({len(self.rows)} rows, {len(self.columns)} columns)"
+        return f"LinearSystem({len(self.rhs)} rows, {len(self.columns)} columns)"
+
+
+class _RowView(Sequence):
+    """A LinearSystem's rows, in order, each built as a Row on access."""
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: LinearSystem) -> None:
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system.rhs)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return tuple(self[i] for i in range(*r.indices(len(self))))
+        s = self._system
+        r = range(len(s.rhs))[r]        # IndexError out of range; negatives count back
+        a, b = s.start[r], s.start[r + 1]
+        keys = s.columns
+        coeffs = tuple((keys[j], k) for j, k in zip(s.col[a:b], s.coef[a:b]))
+        lo, hi = s.nonneg
+        return Row(s._tag(r), coeffs, ">=" if lo <= r < hi else "=", s.rhs[r])
 
 
 def build_system(c: NnfCircuit, include_x: bool = False) -> LinearSystem:
     """The flow system of a normalized circuit, in O(size) time.
 
-    With include_x, adds one projection row per universe variable tying it
+    Rows come in this order: the output's, then by node, one per Or and
+    one per And in-edge, then one nonnegativity row per edge.  With
+    include_x, one projection row per universe variable follows, tying it
     to the outflow of its positive literal input; that requires the
     circuit to be smooth and to mention every variable.
     """
     check_normalized(c, require_smooth=include_x)
     kinds, _, pos, neg = c.columns
     record_kids = c.record_kids
-    ecols = [("y", eid) for eid in range(c.edge_count)]
-    columns = list(ecols)
-    names = {col: f"y{eid}" for eid, col in enumerate(ecols)}
-    # every row shares these (column, coefficient) pairs
-    plus = [(col, 1) for col in ecols]
-    minus = [(col, -1) for col in ecols]
-    ids, start = _fanout(c)
+    n_edges = c.edge_count
+    out = c.output
+    first = list(accumulate(map(len, record_kids), initial=0))   # in-edges by node
+    ids, fan = _fanout(c)                                        # out-edges by node
 
-    def outflow(v: int) -> list:
-        return [minus[e] for e in ids[start[v]:start[v + 1]]]
+    # the output's row comes first
+    col = list(range(first[out], first[out + 1]))
+    coef = [1] * len(col)
+    start = [0, len(col)]
+    kind, node, edge = [_OUT], [out], [-1]
+    for nid, k in enumerate(kinds):
+        if k == OR and nid != out:
+            col.extend(range(first[nid], first[nid + 1]))
+            col.extend(ids[fan[nid]:fan[nid + 1]])
+            coef += [1] * (first[nid + 1] - first[nid])
+            coef += [-1] * (fan[nid + 1] - fan[nid])
+            start.append(len(col))
+            kind.append(_OR)
+            node.append(nid)
+            edge.append(-1)
+        elif k == AND:
+            # one row per in-edge e: (e, +1) and the node's outflow
+            ins = range(first[nid], first[nid + 1])
+            row = [0] + ids[fan[nid]:fan[nid + 1]]
+            for e in ins:
+                row[0] = e
+                col += row
+            width = len(row)
+            coef += ([1] + [-1] * (width - 1)) * len(ins)
+            start.extend(range(start[-1] + width, len(col) + 1, width))
+            kind += [_AND] * len(ins)
+            node += [nid] * len(ins)
+            edge.extend(ins)
 
-    rows: list = [None]     # the output's row comes first
-    eid = 0
-    for nid, (kind, ks) in enumerate(zip(kinds, record_kids)):
-        ins = plus[eid:eid + len(ks)]
-        if nid == c.output:
-            rows[0] = Row(("out",), tuple(ins), "=", 1)
-        elif kind == OR:
-            rows.append(Row(("or", nid), tuple(ins + outflow(nid)), "=", 0))
-        elif kind == AND:
-            tail = tuple(outflow(nid))
-            for e, pair in enumerate(ins, eid):
-                rows.append(Row(("and", nid, e), (pair,) + tail, "=", 0))
-        eid += len(ks)
-    rows.extend(Row(("nonneg", e), (pair,), ">=", 0) for e, pair in enumerate(plus))
+    nonneg = (len(kind), len(kind) + n_edges)
+    start.extend(range(len(col) + 1, len(col) + n_edges + 1))
+    col.extend(range(n_edges))
+    coef += [1] * n_edges
+    kind += [_NONNEG] * n_edges
+    node += [-1] * n_edges
+    edge.extend(range(n_edges))
 
+    variables = c.variables if include_x else ()
     if include_x:
         bv = c.bit_variables
         lits = {(bv[(pos[nid] | neg[nid]).bit_length() - 1], bool(pos[nid])): nid
-                for nid, kind in enumerate(kinds) if kind == LIT}
-        satisfiable = bool(record_kids[c.output])
-        for i, var in enumerate(c.variables, 1):
+                for nid, k in enumerate(kinds) if k == LIT}
+        satisfiable = bool(record_kids[out])
+        for i, var in enumerate(variables):
             lid = lits.get((var, True))
             if satisfiable and lid is None and (var, False) not in lits:
                 raise ValueError(f"variable {var!r} does not occur; normalize first")
-            col = ("x", var)
-            columns.append(col)
-            names[col] = f"x{i}"
-            coeffs = [(col, 1)]
+            col.append(n_edges + i)
+            coef.append(1)
             if lid is not None:
-                coeffs += outflow(lid)
-            rows.append(Row(("proj", var), tuple(coeffs), "=", 0))
-    return LinearSystem(columns, rows, names)
+                col.extend(ids[fan[lid]:fan[lid + 1]])
+                coef += [-1] * (fan[lid + 1] - fan[lid])
+            start.append(len(col))
+            kind.append(_PROJ)
+            node.append(i)
+            edge.append(-1)
+    rhs = [0] * len(kind)
+    rhs[0] = 1
+    return LinearSystem(n_edges, variables, start, col, coef, rhs, nonneg,
+                        (kind, node, edge))
 
 
 def _edges(c: NnfCircuit):
@@ -240,12 +355,19 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
     Returns (value, assignment) where the assignment maps ('or', gate) and
     ('and', gate, edge) dual variables to their values; the output gate's
     variable carries the optimum, which equals the best certificate tree
-    cost.  Integer costs give an integral dual.
+    cost.  Integer costs give an integral dual.  Rational costs are
+    scaled to ints by the lcm of their denominators for the pass, and the
+    values are scaled back to exact Fractions.
     """
     check_normalized(c, require_smooth=False)
     record_kids = c.record_kids
     if not record_kids[c.output]:
         raise ValueError("unsatisfiable circuit: the primal system is infeasible")
+    scale = None
+    if any(type(k) is not int for k in cost.values()):
+        scale = lcm(*(k.denominator for k in cost.values()))
+        cost = {e: k.numerator * (scale // k.denominator) for e, k in cost.items()}
+    get = cost.get
 
     z: dict = {}
     base: list = []     # per gate: its Or variable, or the sum of its And variables
@@ -254,24 +376,24 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
         if kind == AND:
             acc = 0
             for e, ch in enumerate(ks, eid):
-                z[("and", nid, e)] = got = _plus(cost.get(e), base[ch])
+                z[("and", nid, e)] = got = get(e, 0) + base[ch]
                 acc += got
             base.append(acc)
         elif kind == OR and ks:
-            z[("or", nid)] = got = max(_plus(cost.get(e), base[ch])
-                                       for e, ch in enumerate(ks, eid))
+            z[("or", nid)] = got = max([get(e, 0) + base[ch] for e, ch in enumerate(ks, eid)])
             base.append(got)
         else:
             # a childless Or has no dual variable for a parent to read
             base.append(None if kind == OR else 0)
         eid += len(ks)
+    if scale is not None:
+        exact: dict = {}
+        for key, v in z.items():
+            f = exact.get(v)
+            if f is None:
+                f = exact[v] = Fraction(v, scale)
+            z[key] = f
     return z[("or", c.output)], z
-
-
-def _plus(cost, value):
-    """cost + value, where a missing cost adds nothing; most edges carry
-    no cost, and skipping the addition spares a Fraction per edge."""
-    return value if cost is None else cost + value
 
 
 def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
@@ -424,17 +546,6 @@ def _lp_number(value) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-def _lp_terms(pairs, names) -> str:
-    parts = []
-    for col, k in pairs:
-        coeff = Fraction(k)
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        term = names[col] if mag == 1 else f"{_lp_number(mag)} {names[col]}"
-        parts.append(f"{sign} {term}")
-    return " ".join(parts) if parts else "0 " + next(iter(names.values()))
-
-
 def to_lp_text(system: LinearSystem, objective: Mapping,
                sense: str = "max", comment: Optional[str] = None) -> str:
     """Render the system in the classic LP file dialect.
@@ -445,35 +556,37 @@ def to_lp_text(system: LinearSystem, objective: Mapping,
     """
     if not system.columns:
         raise ValueError("cannot export a system with no columns")
-    names = system.column_names
+    names = list(system.column_names.values())      # by column number
     lines = []
     if comment:
         for ln in comment.splitlines():
             lines.append(f"\\ {ln}")
     lines.append("Maximize" if sense == "max" else "Minimize")
-    obj_pairs = [(col, objective[col]) for col in system.columns if col in objective
-                 and Fraction(objective[col]) != 0]
     obj_parts = []
-    for col, k in obj_pairs:
-        coeff = Fraction(k)
-        sign = "-" if coeff < 0 else "+"
-        obj_parts.append(f"{sign} {_lp_number(abs(coeff))} {names[col]}")
-    lines.append(" obj: " + (" ".join(obj_parts) if obj_parts else "0 " +
-                             names[system.columns[0]]))
+    for col, name in system.column_names.items():
+        if col in objective and Fraction(objective[col]) != 0:
+            coeff = Fraction(objective[col])
+            sign = "-" if coeff < 0 else "+"
+            obj_parts.append(f"{sign} {_lp_number(abs(coeff))} {name}")
+    lines.append(" obj: " + (" ".join(obj_parts) if obj_parts else "0 " + names[0]))
     lines.append("Subject To")
+    start, cols, coef = system.start, system.col, system.coef
+    lo, hi = system.nonneg
     idx = 0
     bounds = []
-    for row in system.rows:
-        if row.relation == ">=" and len(row.coeffs) == 1 and row.coeffs[0][1] == 1:
-            bounds.append(f" {names[row.coeffs[0][0]]} >= {_lp_number(row.rhs)}")
+    for r, rhs in enumerate(system.rhs):
+        a, b = start[r], start[r + 1]
+        if lo <= r < hi and b - a == 1 and coef[a] == 1:
+            bounds.append(f" {names[cols[a]]} >= {_lp_number(rhs)}")
             continue
         idx += 1
-        rel = "=" if row.relation == "=" else ">="
-        lines.append(f" c{idx}: {_lp_terms(row.coeffs, names)} {rel} {_lp_number(row.rhs)}")
+        terms = " ".join(("+ " if k > 0 else "- ") + names[j]
+                         for j, k in zip(cols[a:b], coef[a:b]))
+        rel = ">=" if lo <= r < hi else "="
+        lines.append(f" c{idx}: {terms or '0 ' + names[0]} {rel} {_lp_number(rhs)}")
     lines.append("Bounds")
     lines.extend(bounds)
-    for col in system.columns:
-        if col[0] == "x":
-            lines.append(f" {names[col]} free")
+    for name in names[system.edge_count:]:
+        lines.append(f" {name} free")
     lines.append("End")
     return "\n".join(lines) + "\n"

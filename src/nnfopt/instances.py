@@ -182,6 +182,9 @@ def brute_force(inst: LiteralInstance,
     sums: Optional[frozenset] = None
     if isinstance(spec, CardinalitySpec):
         pos = {v: j for j, v in enumerate(h.vertices)}
+        missing = set(spec.variables) - pos.keys()
+        if missing:
+            raise ValueError(f"counted variables not in universe: {sorted(missing, key=repr)}")
         counted_pos = sorted(pos[v] for v in spec.variables)
         sums = spec.sums
     elif spec is not None:

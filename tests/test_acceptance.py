@@ -18,6 +18,7 @@ import pytest
 
 from corpus import corpus_instance, worked_example, random_cycle_hypergraph, \
     random_hypergraph
+from extform_reference import dual_optimize_reference
 from nnfopt import (CardinalitySpec, CompileConfig, WeightFunction,
                     beta_elimination_order, brute_force, build_system,
                     certificate_point, certificate_tree_cost, compile_formula,
@@ -215,6 +216,47 @@ class TestCriterion6ExtendedFormulation:
         assert digest.hexdigest() == \
             "dcc6131d5d5ff5a7396475016396288c176db4aaeffd7bc832b274cc5c665d59"
         print(PASS.format(6, "normal forms of the 500 corpus circuits unchanged"))
+
+    def test_system_rows_pinned_on_500(self, solved_corpus):
+        # every row (tag, coeffs, relation, rhs) of the flow systems of the
+        # 500 corpus circuits and the worked and cyclic examples, in order;
+        # a change of the system's storage must keep them
+        corpus, _ = solved_corpus
+        cyclic = parse_instance("2 v1 v2\n-1 v2 v3\n3 v3 v1\n1 v1 v2 v3\n").instance
+        circuits = [circuit for _inst, circuit, _opt in corpus]
+        circuits += [compile_instance(worked_example()), compile_instance(cyclic)]
+        digest = hashlib.sha256()
+        rows = 0
+        for circuit in circuits:
+            for row in build_system(normalize_for_extform(circuit), include_x=True).rows:
+                digest.update(repr(tuple(row)).encode() + b"\n")
+                rows += 1
+        assert rows == 171311
+        assert digest.hexdigest() == \
+            "eb811265adebde35a8674097d17b5a925e666281c6af1193c0c6b9b1d0ba345b"
+        print(PASS.format(6, "flow-system rows of the 500 corpus circuits unchanged"))
+
+    def test_dual_matches_reference_on_500(self, solved_corpus):
+        # the integer dual against a frozen copy of the original
+        # forward pass: same value, same assignment, under integer,
+        # rational (denominators 1-4), sparse and weight-placement costs
+        corpus, _ = solved_corpus
+        rng = random.Random(6006)
+        for inst, circuit, opt in corpus:
+            norm = normalize_for_extform(circuit)
+            edges = range(norm.edge_count)
+            costs = [{e: rng.randint(-7, 7) for e in edges},
+                     {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in edges},
+                     {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for e in edges if rng.random() < 0.3}]
+            for cost in costs:
+                assert dual_optimize(norm, cost) == dual_optimize_reference(norm, cost)
+            relayed, cost = weight_edge_costs(norm, weights_from_profits(inst))
+            value, z = dual_optimize(relayed, cost)
+            assert (value, z) == dual_optimize_reference(relayed, cost)
+            assert value == opt.value
+        print(PASS.format(6, "the integer dual equals the reference dual on the "
+                             "500 corpus circuits"))
 
     def test_highs_lp_optimum_on_100_corpus_instances(self, solved_corpus):
         # the extended formulation is exact, checked by an LP solver that

@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -6,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from corpus import circuit_corpus, fig_ddnnf, worked_example
-from nnfopt import (CircuitBuilder, build_system, certificate_point,
-                    certificate_tree_cost, compile_formula, dual_optimize,
-                    encode_basic, enumerate_certificates, enumerate_models,
-                    from_nnf_text, normalize_for_extform, optimize, to_lp_text,
-                    tu_counterexample_check, validate_certificate,
+from nnfopt import (CircuitBuilder, LinearSystem, Row, build_system,
+                    certificate_point, certificate_tree_cost, compile_formula,
+                    compile_instance, dual_optimize, encode_basic,
+                    enumerate_certificates, enumerate_models, from_nnf_text,
+                    gen_labs, normalize_for_extform, optimize, parse_instance,
+                    to_lp_text, tu_counterexample_check, validate_certificate,
                     weight_edge_costs, weights_from_profits)
 from nnfopt.cnf import CnfVariable
 from nnfopt.extform import _determinant, non_tu_witness_circuit
@@ -117,6 +119,43 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="Or node"):
             build_system(c)
 
+    def test_rows_view(self):
+        c = normalize_for_extform(fig_ddnnf())
+        system = build_system(c, include_x=True)
+        rows = list(system.rows)
+        assert len(system.rows) == len(rows) and all(isinstance(r, Row) for r in rows)
+        assert system.rows[0] == rows[0] and rows[0].tag == ("out",)
+        assert system.rows[-1] == rows[-1] and rows[-1].tag[0] == "proj"
+        assert system.rows[2:5] == tuple(rows[2:5])
+        with pytest.raises(IndexError):
+            system.rows[len(rows)]
+        assert {r.relation for r in rows if r.tag[0] == "nonneg"} == {">="}
+
+    def test_system_holds_no_object_per_row(self):
+        # the rows live in a few flat int lists, so holding a system keeps
+        # a few dozen containers alive, not one per row
+        c = normalize_for_extform(compile_instance(parse_instance(gen_labs(7, 3)).instance))
+        assert c.edge_count >= 2000
+        build_system(c, include_x=True)     # fill the circuit's cached views first
+        gc.collect()
+        before = len(gc.get_objects())
+        system = build_system(c, include_x=True)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 32
+        assert len(system.rows) > c.edge_count
+
+    def test_constructor_checks_arrays(self):
+        def system(col, coef):
+            return LinearSystem(2, (), [0, 2], col, coef, [1], (1, 1), ([0], [0], [-1]))
+
+        assert system([0, 1], [1, -1]).rows[0].coeffs == ((("y", 0), 1), (("y", 1), -1))
+        with pytest.raises(ValueError, match="coefficients must stay in"):
+            system([0, 1], [1, 2])
+        with pytest.raises(ValueError, match="column 2 out of range"):
+            system([0, 2], [1, -1])
+        with pytest.raises(ValueError, match="disagree in length"):
+            system([0, 1], [1])
+
     def test_negative_only_variable_pinned_to_zero(self):
         b = CircuitBuilder(("a",))
         c = normalize_for_extform(b.finish(b.literal("a", False)))
@@ -158,6 +197,14 @@ class TestCertificates:
             for t in enumerate_certificates(c, cap=5000):
                 y, x = certificate_point(t, c)
                 assert system.check_point({**y, **x})
+
+    def test_flipped_edge_breaks_a_row(self):
+        c = normalize_for_extform(compile_formula(encode_basic(worked_example())))
+        system = build_system(c, include_x=True)
+        y, x = certificate_point(enumerate_certificates(c, cap=1000)[0], c)
+        assert system.check_point({**y, **x})
+        for col in y:
+            assert not system.check_point({**y, col: 1 - y[col], **x})
 
     def test_projections_equal_model_set(self):
         c = normalize_for_extform(compile_formula(encode_basic(worked_example())))

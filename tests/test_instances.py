@@ -188,6 +188,17 @@ class TestBruteForce:
         rows = poly_points_sorted(inst, feasible=lambda b: b[3] + b[4] == 2)
         assert value == rows[0][1]
 
+    def test_counted_vertex_outside_instance_rejected(self):
+        # the oracle and the circuit transform refuse it with one message
+        from nnfopt import CardinalitySpec, compile_instance, restrict_cardinality
+        from nnfopt.cnf import CnfVariable
+        inst = worked_example()
+        with pytest.raises(ValueError, match=r"counted variables not in universe: \[99\]"):
+            brute_force(inst, CardinalitySpec((99,), [0]), 1)
+        with pytest.raises(ValueError, match=r"counted variables not in universe: \[x99\]"):
+            restrict_cardinality(compile_instance(inst),
+                                 CardinalitySpec((CnfVariable("x", 99),), [0]))
+
     def test_guard(self):
         h = Hypergraph(range(1, 26), [{1, 2}])
         from nnfopt import LiteralInstance
