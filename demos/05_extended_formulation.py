@@ -28,12 +28,13 @@ print("certificates:", len(certs), "= models of the multilinear set")
 y, x = certificate_point(certs[0], norm)
 print("first certificate satisfies every row:", system.check_point({**y, **x}))
 
-# Put each variable's weight on its literal's out-edge: maximizing edge
-# costs over certificates reproduces the circuit optimum, and the
-# constructive dual certifies it.
+# Put each variable's weight on every out-edge of its literal: a
+# certificate crosses at most one of them, so maximizing edge costs over
+# certificates reproduces the circuit optimum, and the constructive dual
+# certifies it on the same normal form.
 w = weights_from_profits(inst)
-relayed, cost = weight_edge_costs(norm, w)
-dual_value, _ = dual_optimize(relayed, cost)
+_, cost = weight_edge_costs(norm, w)
+dual_value, _ = dual_optimize(norm, cost)
 print("dual value:", dual_value, "== max-plus optimum:",
       optimize(base, w).value)
 

@@ -5,10 +5,10 @@ For every workload of perfbench (labs-dense, corpus-mixed,
 beta-intervals) at seed 1 this compiles each item's query circuit as the
 benchmark does, then:
 
-  * runs the extform stages -- normalize_for_extform, build_system with
-    x columns, weight_edge_costs, dual_optimize -- REPEAT times per item
-    with the collector on, and records the mean over items of each
-    stage's per-item minimum, in milliseconds;
+  * runs the extform stages -- normalize_for_extform, then build_system
+    with x columns, weight_edge_costs and dual_optimize on that one normal
+    form -- REPEAT times per item with the collector on, and records the
+    mean over items of each stage's per-item minimum, in milliseconds;
   * runs the benchmark's own item loop (perfbench/worker.py run_item,
     every answer checked) for PROBE_SECONDS and, through gc.callbacks,
     counts the generation-2 collections and their seconds by the query
@@ -56,9 +56,9 @@ def stage_minima(comp) -> dict:
         t1 = time.perf_counter()
         build_system(normal, True)
         t2 = time.perf_counter()
-        relayed, cost = weight_edge_costs(normal, comp.weights)
+        _, cost = weight_edge_costs(normal, comp.weights)
         t3 = time.perf_counter()
-        dual_optimize(relayed, cost)
+        dual_optimize(normal, cost)
         t4 = time.perf_counter()
         for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             best[stage] = min(best[stage], dt)

@@ -15,9 +15,8 @@ from .cnf import (CnfFormula, CnfVariable, encode_basic, encode_ordered,
 from .compiler import (CompileConfig, compile_formula, compile_instance,
                        encode_instance, order_from_beta, order_from_decomposition)
 from .extform import (LinearSystem, Row, build_system, certificate_point,
-                      certificate_tree_cost, dual_optimize,
-                      enumerate_certificates, insert_literal_relays, to_lp_text,
-                      tu_counterexample_check, validate_certificate,
+                      certificate_tree_cost, dual_optimize, enumerate_certificates,
+                      to_lp_text, tu_counterexample_check, validate_certificate,
                       weight_edge_costs)
 from .hypergraph import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
                          beta_elimination_order, cycle_decomposition,

@@ -597,23 +597,37 @@ def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:
 
 
 def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
-    """Raise ValueError unless c satisfies the extform normal form."""
-    kinds, kids, pos, neg = c.columns
-    if kinds[c.output] != OR:
-        raise ValueError("output must be an Or node")
-    if any(c.output in ks for ks in kids[c.output + 1:]):
-        raise ValueError("output must have no outgoing edges")
-    if _compact(c.columns, c.output)[0] is not c.columns:
-        raise ValueError("every node must lie on a path to the output")
-    lits = [(a, b) for kind, a, b in zip(kinds, pos, neg) if kind == LIT]
-    if len(set(lits)) != len(lits):
-        raise ValueError("each literal may label at most one input")
-    if FALSE in kinds:
-        raise ValueError("false nodes must be folded away")
-    rep = check_structure(c)
-    if not rep.decomposable:
-        raise ValueError("circuit must be decomposable")
-    if require_smooth and not rep.smooth:
+    """Raise ValueError unless c satisfies the extform normal form.
+
+    Circuits are immutable, so the rules other than smoothness are
+    checked on the first call for a circuit and their verdict (the
+    message of the first rule broken, or "" when none is) is kept on it;
+    a failing circuit raises the same ValueError on every call.
+    Smoothness is read from check_structure's kept report, so
+    require_smooth=False accepts a circuit that fails only smoothness.
+    """
+    verdict = c.__dict__.get("_normal")
+    if verdict is None:
+        kinds, kids, pos, neg = c.columns
+        lits = [(a, b) for kind, a, b in zip(kinds, pos, neg) if kind == LIT]
+        if kinds[c.output] != OR:
+            verdict = "output must be an Or node"
+        elif any(c.output in ks for ks in kids[c.output + 1:]):
+            verdict = "output must have no outgoing edges"
+        elif _compact(c.columns, c.output)[0] is not c.columns:
+            verdict = "every node must lie on a path to the output"
+        elif len(set(lits)) != len(lits):
+            verdict = "each literal may label at most one input"
+        elif FALSE in kinds:
+            verdict = "false nodes must be folded away"
+        elif not check_structure(c).decomposable:
+            verdict = "circuit must be decomposable"
+        else:
+            verdict = ""
+        c._normal = verdict
+    if verdict:
+        raise ValueError(verdict)
+    if require_smooth and not check_structure(c).smooth:
         raise ValueError("circuit must be smooth")
 
 

@@ -13,6 +13,12 @@ The system is stored as a few flat int lists (compressed sparse rows of
 not as one Python object per row; `LinearSystem.rows` rebuilds a row as a
 `Row` tuple when it is read.  The dual runs in ints, with rational costs
 scaled by the lcm of their denominators.
+
+build_system, weight_edge_costs and dual_optimize all read the one
+circuit that normalize_for_extform returns; check_normalized scans it in
+full once and keeps its verdict on it.  A variable's weight sits on every
+out-edge of its literal, since a certificate of a decomposable circuit
+crosses at most one of them.
 """
 
 from __future__ import annotations
@@ -22,12 +28,12 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Mapping, NamedTuple, Optional
 
-from .circuit import (AND, FALSE, LIT, OR, TRUE, CapExceeded, CircuitBuilder,
-                      NnfCircuit, add_node, check_normalized)
+from .circuit import (AND, FALSE, LIT, OR, CapExceeded, CircuitBuilder,
+                      NnfCircuit, check_normalized)
 from .maxplus import WeightFunction
 
 
@@ -36,13 +42,6 @@ class Row(NamedTuple):
     coeffs: tuple          # ((column, coefficient), ...) in column order
     relation: str          # '=' or '>='
     rhs: int
-
-    def value_at(self, point: Mapping) -> Fraction:
-        return sum((Fraction(point[col]) * k for col, k in self.coeffs), Fraction(0))
-
-    def holds_at(self, point: Mapping) -> bool:
-        v = self.value_at(point)
-        return v == self.rhs if self.relation == "=" else v >= self.rhs
 
 
 # row kinds in LinearSystem.kind; a row's tag is rebuilt from its kind,
@@ -278,41 +277,31 @@ def validate_certificate(c: NnfCircuit, gates: frozenset) -> None:
 
 
 def enumerate_certificates(c: NnfCircuit, cap: int = 100000) -> list[frozenset]:
-    """All certificates, as gate-id sets; raises CapExceeded beyond cap."""
-    check_normalized(c, require_smooth=False)
-    kinds = c.columns[0]
-    record_kids = c.record_kids
-    counts: list[int] = []
-    for kind, ks in zip(kinds, record_kids):
-        if kind in (LIT, TRUE):
-            counts.append(1)
-        elif kind == FALSE:
-            counts.append(0)
-        elif kind == AND:
-            n = 1
-            for ch in ks:
-                n *= counts[ch]
-            counts.append(n)
-        else:
-            counts.append(sum(counts[ch] for ch in ks))
-        if counts[-1] > cap:
-            raise CapExceeded("certificate cap exceeded")
-    if counts[c.output] > cap:
-        raise CapExceeded("certificate cap exceeded")
+    """All certificates, as gate-id sets; raises CapExceeded beyond cap.
 
+    One pass: each node's count comes from its children's tables, and the
+    first node over the cap raises before its own table is built.
+    """
+    check_normalized(c, require_smooth=False)
     table: list[list[frozenset]] = []
-    for nid, (kind, ks) in enumerate(zip(kinds, record_kids)):
-        if kind in (LIT, TRUE):
-            table.append([frozenset((nid,))])
-        elif kind == FALSE:
-            table.append([])
-        elif kind == AND:
+    for nid, (kind, ks) in enumerate(zip(c.columns[0], c.record_kids)):
+        if kind == AND:
+            n = prod(len(table[ch]) for ch in ks)
+        elif kind == OR:
+            n = sum(len(table[ch]) for ch in ks)
+        else:
+            n = 0 if kind == FALSE else 1
+        if n > cap:
+            raise CapExceeded("certificate cap exceeded")
+        if kind == AND:
             acc = [frozenset((nid,))]
             for ch in ks:
                 acc = [t | s for t in acc for s in table[ch]]
             table.append(acc)
-        else:
+        elif kind == OR:
             table.append([t | {nid} for ch in ks for t in table[ch]])
+        else:
+            table.append([frozenset((nid,))] if n else [])
     return table[c.output]
 
 
@@ -396,58 +385,25 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
     return z[("or", c.output)], z
 
 
-def insert_literal_relays(c: NnfCircuit) -> NnfCircuit:
-    """Give every literal input a single out-edge by routing multi-parent
-    literals through a fresh unary Or; the function is unchanged.
-
-    The copy writes each node's record_kids as plain kids, so edge ids
-    keep their order with relays in place of literals.
-    """
-    kinds, _, pos, neg = c.columns
-    record_kids = c.record_kids
-    parents = Counter(chain.from_iterable(record_kids))
-    if not any(kind == LIT and parents[nid] > 1 for nid, kind in enumerate(kinds)):
-        return c
-    out = ([], [], [], [])
-    new: list = []
-    relays: dict = {}
-    for nid, kind in enumerate(kinds):
-        ks = []
-        for ch in record_kids[nid]:
-            if kinds[ch] == LIT and parents[ch] > 1:
-                if ch not in relays:
-                    relays[ch] = add_node(out, OR, (new[ch],), None)
-                ks.append(relays[ch])
-            else:
-                ks.append(new[ch])
-        if kind == AND:     # its block is among its record_kids
-            new.append(add_node(out, AND, tuple(ks)))
-        else:
-            new.append(add_node(out, kind, tuple(ks), pos[nid], neg[nid]))
-    return NnfCircuit(c.variables, c.bit_variables, out, new[c.output])
-
-
 def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dict]:
-    """Edge costs realizing a weight function: each variable's weight sits
-    on the unique out-edge of its literal input.
+    """Edge costs realizing a weight function: every out-edge of a literal
+    input carries that literal's weight.
 
-    Returns (circuit, cost) where the circuit is c with relay nodes added
-    when a literal had several out-edges.  Maximizing these costs over
-    certificates reproduces the max-plus optimum.
+    Returns (c, cost), with c itself: no node is added.  A certificate of
+    a decomposable circuit uses at most one out-edge per literal, since
+    two paths from the output to one literal would part at an And (which
+    decomposability forbids) or at an Or (which keeps one child).  So a
+    certificate's cost is the weight of its model, and maximizing these
+    costs over certificates reproduces the max-plus optimum.
     """
-    relayed = insert_literal_relays(c)
-    check_normalized(relayed, require_smooth=True)
-    kinds, _, pos, neg = relayed.columns
-    bv = relayed.bit_variables
-    ids, start = _fanout(relayed)
-    cost: dict[int, Fraction] = {}
-    for nid, kind in enumerate(kinds):
-        if kind == LIT:
-            if start[nid + 1] - start[nid] != 1:
-                raise RuntimeError("literal relay insertion failed")
-            a = pos[nid]
-            cost[ids[start[nid]]] = w.weight(bv[(a | neg[nid]).bit_length() - 1], 1 if a else 0)
-    return relayed, cost
+    check_normalized(c, require_smooth=True)
+    kinds, _, pos, neg = c.columns
+    bv = c.bit_variables
+    weights = {nid: w.weight(bv[(pos[nid] | neg[nid]).bit_length() - 1], 1 if pos[nid] else 0)
+               for nid, kind in enumerate(kinds) if kind == LIT}
+    cost = {eid: weights[ch] for eid, ch in enumerate(chain.from_iterable(c.record_kids))
+            if ch in weights}
+    return c, cost
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,9 @@ class TestCheckNormalized:
     def test_rule(self, nodes, output, message):
         columns = tuple(list(col) for col in zip(*nodes))
         c = NnfCircuit(("x", "y"), ("x", "y"), columns, output)
-        with pytest.raises(ValueError, match=message):
-            check_normalized(c)
+        for _ in range(2):  # the second call reads the kept verdict
+            with pytest.raises(ValueError, match=message):
+                check_normalized(c)
         if message.endswith("smooth"):
             check_normalized(c, require_smooth=False)
 

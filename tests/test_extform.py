@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import circuit_corpus, fig_ddnnf, worked_example
-from nnfopt import (CircuitBuilder, LinearSystem, Row, build_system,
+from nnfopt import (CapExceeded, CircuitBuilder, LinearSystem, Row, build_system,
                     certificate_point, certificate_tree_cost, compile_formula,
                     compile_instance, dual_optimize, encode_basic,
                     enumerate_certificates, enumerate_models, from_nnf_text,
@@ -216,6 +216,13 @@ class TestCertificates:
                   for m in enumerate_models(c, cap=1000)}
         assert points == models
 
+    def test_cap_counts_before_building(self):
+        c = normalize_for_extform(compile_formula(encode_basic(worked_example())))
+        assert len(enumerate_certificates(c, cap=64)) == 64
+        for cap in (63, 0):
+            with pytest.raises(CapExceeded, match="certificate cap exceeded"):
+                enumerate_certificates(c, cap=cap)
+
     def test_invalid_certificate_rejected(self):
         c = normalize_for_extform(fig_ddnnf())
         with pytest.raises(ValueError):
@@ -277,9 +284,48 @@ class TestDualOptimize:
         base = compile_formula(encode_basic(inst))
         norm = normalize_for_extform(base)
         w = weights_from_profits(inst)
-        relayed, cost = weight_edge_costs(norm, w)
-        value, _ = dual_optimize(relayed, cost)
+        same, cost = weight_edge_costs(norm, w)
+        assert same is norm
+        value, _ = dual_optimize(norm, cost)
         assert value == optimize(base, w).value == 9
+
+    def test_weight_placement_prices_every_certificate(self):
+        # each certificate costs the weight of the model it fixes, although
+        # the weight sits on every out-edge of a literal
+        rng = random.Random(52)
+        cases = [(c, WeightFunction(c.variables, {(v, bit): rng.randint(-6, 6)
+                                                  for v in c.variables for bit in (0, 1)}))
+                 for c in normalized_corpus(rng)]
+        inst = worked_example()
+        cases.append((normalize_for_extform(compile_formula(encode_basic(inst))),
+                      weights_from_profits(inst)))
+        for norm, w in cases:
+            if not norm.record_kids[norm.output]:
+                continue
+            _, cost = weight_edge_costs(norm, w)
+            values = []
+            for t in enumerate_certificates(norm, cap=5000):
+                x = certificate_point(t, norm)[1]
+                values.append(w.value_of({v: x[("x", v)] for v in norm.variables}))
+                assert certificate_tree_cost(norm, t, cost) == values[-1]
+            # the weights are integers, so the costs are too
+            value, z = dual_optimize(norm, {e: int(k) for e, k in cost.items()})
+            assert value == max(values)
+            assert all(type(v) is int for v in z.values())
+
+    def test_extform_path_checks_the_normal_form_once(self, monkeypatch):
+        import nnfopt.circuit as circuit_module
+        inst = worked_example()
+        norm = normalize_for_extform(compile_formula(encode_basic(inst)))
+        calls = []
+        compact = circuit_module._compact
+        monkeypatch.setattr(circuit_module, "_compact",
+                            lambda *args: calls.append(args) or compact(*args))
+        build_system(norm, include_x=True)
+        _, cost = weight_edge_costs(norm, weights_from_profits(inst))
+        dual_optimize(norm, cost)
+        enumerate_certificates(norm, cap=1000)
+        assert len(calls) == 1
 
     def test_unsat_rejected(self):
         b = CircuitBuilder(("a",))
