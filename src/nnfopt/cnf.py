@@ -3,8 +3,11 @@
 Two encodings are provided: a direct one whose incidence structure stays
 close to the instance's hypergraph, and an ordered one with telescoped
 link clauses that keeps beta-acyclicity when fed a beta-elimination
-order.  Both have exactly the satisfying assignments where each edge
-variable equals the product of its (polarity-adjusted) vertex bits.
+order.  One loop writes both; the direct encoding is that loop in
+declared vertex order without the link tails.  Both have exactly the
+satisfying assignments where each edge variable equals the product of
+its (polarity-adjusted) vertex bits.  compiler.encode_instance picks the
+encoding and its branch order.
 """
 
 from __future__ import annotations
@@ -56,15 +59,16 @@ class CnfFormula:
                  clauses: Iterable[Iterable[Literal]],
                  tags: Optional[Sequence] = None) -> None:
         self.variables = tuple(variables)
-        self._varnum = {v: i + 1 for i, v in enumerate(self.variables)}
-        if len(self._varnum) != len(self.variables):
+        self._varnum = varnum = {v: i + 1 for i, v in enumerate(self.variables)}
+        if len(varnum) != len(self.variables):
             raise ValueError("duplicate variable declaration")
         normalized = []
         for cl in clauses:
-            lits = sorted(set(cl), key=lambda l: (self._varnum[l[0]], l[1]))
+            # undeclared variables sort first, so the loop reports them
+            lits = sorted(set(cl), key=lambda l: (varnum.get(l[0], 0), l[1]))
             seen = {}
             for var, sign in lits:
-                if var not in self._varnum:
+                if var not in varnum:
                     raise ValueError(f"undeclared variable {var}")
                 if seen.get(var, sign) != sign:
                     raise ValueError(f"clause contains {var} with both signs")
@@ -96,32 +100,33 @@ class CnfFormula:
         return "\n".join(lines) + "\n"
 
 
-def _polarity_literal(var: CnfVariable, polarity: int, negate: bool) -> Literal:
-    # The polarity-adjusted literal for a vertex variable, with double
-    # negation already simplified away.
-    sign = bool(polarity) ^ negate
-    return (var, sign)
+def _encode(inst: LiteralInstance, order: Sequence, telescoped: bool) -> CnfFormula:
+    # Per edge, its vertices along `order`: a link clause -y | l_v for each
+    # (with the later vertices' -l_w when telescoped), then y | -l_1 | ... | -l_k.
+    h = inst.hypergraph
+    rank = {v: i for i, v in enumerate(order)}
+    clauses = []
+    tags = []
+    for i, e in enumerate(h.edges):
+        ye = CnfVariable("y", i)
+        sigma = inst.sigma[i]
+        verts = sorted(e, key=rank.__getitem__)
+        fails = [(CnfVariable("x", v), not sigma[v]) for v in verts]
+        for k, v in enumerate(verts):
+            link = [(ye, False), (CnfVariable("x", v), bool(sigma[v]))]
+            if telescoped:
+                link += fails[k + 1:]
+            clauses.append(link)
+            tags.append(("L", i, v))
+        clauses.append([(ye, True)] + fails)
+        tags.append(("R", i))
+    return CnfFormula(instance_variables(inst), clauses, tags)
 
 
 def encode_basic(inst: LiteralInstance) -> CnfFormula:
     """Direct encoding: per edge, one link clause per vertex and one wide
     clause pushing the edge variable up when every vertex literal holds."""
-    h = inst.hypergraph
-    variables = instance_variables(inst)
-    clauses = []
-    tags = []
-    for i in range(len(h.edges)):
-        ye = CnfVariable("y", i)
-        verts = h.edge_vertices(i)
-        for v in verts:
-            clauses.append([(ye, False),
-                            _polarity_literal(CnfVariable("x", v), inst.sigma[i][v], False)])
-            tags.append(("L", i, v))
-        wide = [(ye, True)]
-        wide += [_polarity_literal(CnfVariable("x", v), inst.sigma[i][v], True) for v in verts]
-        clauses.append(wide)
-        tags.append(("R", i))
-    return CnfFormula(variables, clauses, tags)
+    return _encode(inst, inst.hypergraph.vertices, telescoped=False)
 
 
 def encode_ordered(inst: LiteralInstance, order: Sequence) -> CnfFormula:
@@ -131,28 +136,9 @@ def encode_ordered(inst: LiteralInstance, order: Sequence) -> CnfFormula:
     formula's hypergraph is beta-acyclic whenever the order is a
     beta-elimination order of the instance's hypergraph.
     """
-    h = inst.hypergraph
-    if sorted(order, key=repr) != sorted(h.vertices, key=repr):
+    if sorted(order, key=repr) != sorted(inst.hypergraph.vertices, key=repr):
         raise ValueError("order must cover exactly the vertices")
-    rank = {v: i for i, v in enumerate(order)}
-    variables = instance_variables(inst)
-    clauses = []
-    tags = []
-    for i in range(len(h.edges)):
-        ye = CnfVariable("y", i)
-        verts = sorted(h.edges[i], key=rank.__getitem__)
-        for k, v in enumerate(verts):
-            cl = [(ye, False),
-                  _polarity_literal(CnfVariable("x", v), inst.sigma[i][v], False)]
-            for w in verts[k + 1:]:
-                cl.append(_polarity_literal(CnfVariable("x", w), inst.sigma[i][w], True))
-            clauses.append(cl)
-            tags.append(("L", i, v))
-        wide = [(ye, True)]
-        wide += [_polarity_literal(CnfVariable("x", v), inst.sigma[i][v], True) for v in verts]
-        clauses.append(wide)
-        tags.append(("R", i))
-    return CnfFormula(variables, clauses, tags)
+    return _encode(inst, order, telescoped=True)
 
 
 def formula_hypergraph(f: CnfFormula) -> Hypergraph:

@@ -39,8 +39,6 @@ from .hypergraph import Hypergraph, LiteralInstance, TreeDecomposition, \
 
 log = logging.getLogger(__name__)
 
-MINFILL_NODE_LIMIT = 4000   # larger incidence graphs branch in declaration order
-
 _FAIL = -1      # search result of an unsatisfiable clause set; never a node
 
 
@@ -565,6 +563,11 @@ def order_from_beta(h: Hypergraph) -> tuple[CnfVariable, ...]:
     order = beta_elimination_order(h)
     if order is None:
         raise ValueError("hypergraph is not beta-acyclic")
+    return _branch_order(h, order)
+
+
+def _branch_order(h: Hypergraph, order: Sequence) -> tuple[CnfVariable, ...]:
+    # order_from_beta's order, from an elimination order already at hand
     pos = {v: i for i, v in enumerate(order)}
     by_last: dict = {}
     for i, e in enumerate(h.edges):
@@ -606,33 +609,25 @@ def order_from_decomposition(td: TreeDecomposition) -> tuple:
 
 
 def encode_instance(inst: LiteralInstance,
-                    encoding: str = "auto") -> tuple[CnfFormula, Optional[tuple]]:
+                    encoding: str = "auto") -> tuple[CnfFormula, tuple]:
     """Encode per the requested mode and pick a branch order hint.
 
-    auto uses the order-preserving encoding on beta-acyclic instances and
-    the basic encoding with a min-fill order otherwise; min-fill is
-    skipped on incidence graphs above MINFILL_NODE_LIMIT nodes in favor of
-    declaration order.  Min-fill is cheap at that size (0.16 s on
-    gen-labs 20 3, 6,904 nodes), but lifting the limit would change the
-    branch order, and so the circuit, of every instance above it (LABS
-    from n=17 on); the limit stays until a measured rule replaces it.
+    auto uses the ordered encoding on beta-acyclic instances and the basic
+    encoding otherwise; ordered uses the beta order when there is one and
+    declaration order otherwise.  The hint is the beta order's branch
+    order when the encoding followed one, and else a min-fill order of the
+    formula's incidence graph, at every size.  The beta order is computed
+    at most once, and not at all for the basic encoding.
     """
+    if encoding not in ("auto", "basic", "ordered"):
+        raise ValueError(f"unknown encoding {encoding!r}: use auto, basic or ordered")
     h = inst.hypergraph
-    beta = beta_elimination_order(h)
-    if encoding == "auto":
-        encoding = "ordered" if beta is not None else "basic"
-    if encoding == "ordered":
-        order = beta if beta is not None else tuple(h.vertices)
-        formula = encode_ordered(inst, order)
-        hint = order_from_beta(h) if beta is not None else None
-    else:
-        formula = encode_basic(inst)
-        hint = None
-    if hint is None:
-        g = formula_incidence_graph(formula)
-        if g.node_count <= MINFILL_NODE_LIMIT:
-            hint = order_from_decomposition(minfill_decomposition(g))
-    return formula, hint
+    beta = None if encoding == "basic" else beta_elimination_order(h)
+    if beta is not None:
+        return encode_ordered(inst, beta), _branch_order(h, beta)
+    formula = encode_ordered(inst, h.vertices) if encoding == "ordered" else encode_basic(inst)
+    g = formula_incidence_graph(formula)
+    return formula, order_from_decomposition(minfill_decomposition(g))
 
 
 def compile_instance(inst: LiteralInstance, encoding: str = "auto") -> NnfCircuit:

@@ -65,10 +65,11 @@ class Hypergraph:
     """A (multi)hypergraph: ordered vertices plus a sequence of edges."""
 
     def __init__(self, vertices: Iterable, edges: Iterable[Iterable] = ()) -> None:
-        self.vertices = tuple(dict.fromkeys(vertices))
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValueError("unhashable or duplicate vertices")
+        self.vertices = tuple(vertices)
+        self._vpos = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._vpos) != len(self.vertices):
+            raise ValueError("duplicate vertices")
+        vset = self._vpos.keys()
         frozen = []
         for e in edges:
             fe = frozenset(e)
@@ -78,7 +79,6 @@ class Hypergraph:
                 raise ValueError(f"edge {sorted(fe)} mentions undeclared vertices")
             frozen.append(fe)
         self.edges = tuple(frozen)
-        self._vpos = {v: i for i, v in enumerate(self.vertices)}
 
     def __repr__(self) -> str:
         return f"Hypergraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -219,6 +219,24 @@ def _is_nest_point(v, edges: Sequence[frozenset]) -> bool:
     return True
 
 
+def _eliminate(vertices: list, edges: Sequence[frozenset], greedy: bool) -> Optional[tuple]:
+    """Nest-point elimination, one vertex of the list per round: the first
+    nest point of the remaining edges when greedy, else the list's first
+    vertex, which must be one.  Returns the vertices in elimination order,
+    or None when a round finds no nest point."""
+    order = []
+    while vertices:
+        candidates = vertices if greedy else vertices[:1]
+        pick = next((v for v in candidates if _is_nest_point(v, edges)), None)
+        if pick is None:
+            return None
+        order.append(pick)
+        vertices.remove(pick)
+        shrunk = (e - {pick} if pick in e else e for e in edges)
+        edges = [e for e in shrunk if e]
+    return tuple(order)
+
+
 def beta_elimination_order(h: Hypergraph) -> Optional[tuple]:
     """Greedy nest-point elimination, lowest vertex first on ties.
 
@@ -227,22 +245,7 @@ def beta_elimination_order(h: Hypergraph) -> Optional[tuple]:
     no such order exists.  Eliminating any available nest point is safe,
     so the greedy search is complete.
     """
-    remaining = list(h.vertices)
-    edges = [e for e in h.edges]
-    order = []
-    while remaining:
-        pick = None
-        for v in sorted(remaining):
-            if _is_nest_point(v, edges):
-                pick = v
-                break
-        if pick is None:
-            return None
-        order.append(pick)
-        remaining.remove(pick)
-        edges = [e - {pick} for e in edges]
-        edges = [e for e in edges if e]
-    return tuple(order)
+    return _eliminate(sorted(h.vertices), h.edges, greedy=True)
 
 
 def is_beta_acyclic(h: Hypergraph) -> bool:
@@ -253,13 +256,7 @@ def is_valid_elimination_order(h: Hypergraph, order: Sequence) -> bool:
     """Check a proposed beta-elimination order vertex by vertex."""
     if sorted(order, key=repr) != sorted(h.vertices, key=repr):
         return False
-    edges = [e for e in h.edges]
-    for v in order:
-        if not _is_nest_point(v, edges):
-            return False
-        edges = [e - {v} for e in edges]
-        edges = [e for e in edges if e]
-    return True
+    return _eliminate(list(order), h.edges, greedy=False) is not None
 
 
 # ---------------------------------------------------------------------------

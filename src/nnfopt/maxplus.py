@@ -65,11 +65,6 @@ class WeightFunction:
         return scale, {var: (int(self._w[(var, 0)] * scale), int(self._w[(var, 1)] * scale))
                        for var in self.universe}
 
-    def scaled(self, factor) -> "WeightFunction":
-        factor = Fraction(factor)
-        return WeightFunction(
-            self.universe, {k: v * factor for k, v in self._w.items()})
-
 
 def weights_from_profits(inst: LiteralInstance) -> WeightFunction:
     """Edge variables earn their profit when set, everything else weighs 0."""

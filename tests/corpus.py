@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from nnfopt import CircuitBuilder, CnfFormula, Hypergraph, LiteralInstance
 from nnfopt.cnf import CnfVariable
-from nnfopt.hypergraph import _is_nest_point
 
 WORKED_TEXT = "-3 v1 v2 v3\n4 v4 v5\n5 v2 v3 v4 v5 v6\n"
 
@@ -73,8 +72,16 @@ def poly_points_sorted(inst: LiteralInstance, feasible=None) -> list[tuple[tuple
 
 
 def exhaustive_beta_acyclic(h: Hypergraph) -> bool:
-    """Search over all elimination orders with memoized states."""
+    """Search over all elimination orders with memoized states.
+
+    A vertex is eliminable when every two edges containing it are
+    comparable under inclusion, tested pair by pair.
+    """
     seen = set()
+
+    def nest_point(v, edges: tuple) -> bool:
+        incident = [e for e in edges if v in e]
+        return all(a <= b or b <= a for a, b in itertools.combinations(incident, 2))
 
     def survive(remaining: frozenset, edges: tuple) -> bool:
         if not remaining:
@@ -83,7 +90,7 @@ def exhaustive_beta_acyclic(h: Hypergraph) -> bool:
             return False
         seen.add(remaining)
         for v in sorted(remaining):
-            if _is_nest_point(v, edges):
+            if nest_point(v, edges):
                 nxt = tuple(e - {v} for e in edges if e - {v})
                 if survive(remaining - {v}, nxt):
                     return True

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from nnfopt import brute_force, parse_instance
+from corpus import WORKED_TEXT
+from nnfopt import brute_force, encode_instance, gen_labs, parse_instance
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 # criterion 9's cyclic instance: min-fill ordering runs on it
@@ -29,9 +30,10 @@ def bench():
     try:
         import pipeline
         import spans
+        import workloads
     finally:
         sys.path.remove(PERFBENCH)
-    return pipeline, spans
+    return pipeline, spans, workloads
 
 
 def run_paths(pipeline, tr) -> dict:
@@ -45,7 +47,7 @@ def run_paths(pipeline, tr) -> dict:
 
 
 def test_paths_untraced_and_traced(bench):
-    pipeline, spans = bench
+    pipeline, spans, _workloads = bench
     inst = parse_instance(CYCLIC).instance
     vertices = inst.hypergraph.vertices
     lo, hi = KNAP_BOUNDS
@@ -65,3 +67,35 @@ def test_paths_untraced_and_traced(bench):
     names = {span[0] for span in tracer.spans}
     assert {"circuit.check_structure", "extform.weight_edge_costs",
             "extform.dual_optimize", "circuit.normalize"} <= names
+
+
+class CompileArguments:
+    """A tracer that records what compile_text hands the compiler, and
+    skips the compile itself."""
+
+    def __init__(self):
+        self.formula = self.hint = None
+
+    def call(self, name, fn, *args):
+        if name == "compiler.compile":
+            self.formula, self.hint = args[0], args[1].order_hint
+            return None
+        return fn(*args)
+
+
+def test_compile_text_follows_encode_instance(bench):
+    # pipeline.compile_text keeps its own copy of the `auto` rules.  That
+    # copy still skips min-fill above 4,000 incidence nodes, where
+    # encode_instance no longer does, so the two differ there until the
+    # benchmark's copy follows; every instance below is under that size.
+    pipeline, _spans, workloads = bench
+    texts = [WORKED_TEXT, CYCLIC, gen_labs(12, 3),
+             workloads.make_items("beta-intervals", 1)[0].solve_text,
+             workloads.make_items("labs-dense", 1)[0].solve_text]
+    for text in texts:
+        seen = CompileArguments()
+        pipeline.compile_text(seen, text)
+        formula, hint = encode_instance(parse_instance(text).instance)
+        assert seen.formula.to_dimacs() == formula.to_dimacs()
+        assert seen.formula.tags == formula.tags
+        assert seen.hint == hint

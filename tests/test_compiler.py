@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 
@@ -5,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import worked_example, random_formula, random_instance, sat_assignments
-from nnfopt import (CnfFormula, CompileConfig, Hypergraph, check_structure,
-                    compile_formula, encode_basic, encode_ordered,
-                    enumerate_models, formula_incidence_graph,
+from corpus import (corpus_instance, worked_example, random_formula, random_instance,
+                    sat_assignments)
+from nnfopt import (CnfFormula, CompileConfig, Hypergraph, beta_elimination_order,
+                    check_structure, compile_formula, compile_instance, compiler,
+                    encode_basic, encode_instance, encode_ordered,
+                    enumerate_models, formula_incidence_graph, gen_labs,
                     incidence_graph, lift_decomposition, minfill_decomposition,
-                    model_count, order_from_beta, order_from_decomposition)
+                    model_count, order_from_beta, order_from_decomposition,
+                    parse_instance)
 from nnfopt.cnf import CnfVariable
 from nnfopt.hypergraph import TreeDecomposition, vertex_node
+
+
+FRONT_HALF_SHA256 = "47b958eb76fe8c72d95dbee7fa000e4a94fab2d773ad79fdba85cf0a52976cba"
 
 
 def x(v):
@@ -206,3 +213,62 @@ class TestSizeSmoke:
         total1, total3 = 10 + 9, 40 + 39
         # subquadratic growth in |V|+|E| across the corpus
         assert n3 / n1 < (total3 / total1) ** 2
+
+
+def front_half_digest() -> str:
+    """SHA-256 over encode_instance's DIMACS text, clause tags and branch
+    hint under every encoding, on the acceptance corpus and LABS n=8..12."""
+    rng = random.Random(20250809)
+    cases = [corpus_instance(rng) for _ in range(500)]
+    cases += [parse_instance(gen_labs(n, 3)).instance for n in range(8, 13)]
+    digest = hashlib.sha256()
+    for inst in cases:
+        for encoding in ("auto", "basic", "ordered"):
+            formula, hint = encode_instance(inst, encoding)
+            digest.update(formula.to_dimacs().encode())
+            digest.update(repr(formula.tags).encode())
+            digest.update(repr(hint).encode())
+    return digest.hexdigest()
+
+
+class TestEncodeInstance:
+    def test_front_half_pinned(self):
+        # captured before the min-fill limit went and the encoders merged
+        assert front_half_digest() == FRONT_HALF_SHA256
+
+    def test_beta_computed_once_on_auto(self, monkeypatch):
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return beta_elimination_order(h)
+
+        monkeypatch.setattr(compiler, "beta_elimination_order", counted)
+        formula, hint = encode_instance(worked_example())
+        assert len(calls) == 1
+        assert hint == order_from_beta(worked_example().hypergraph)
+        assert formula.clauses == encode_ordered(worked_example(), (1, 2, 3, 4, 5, 6)).clauses
+
+    def test_basic_skips_beta(self, monkeypatch):
+        def refused(h):
+            raise AssertionError("beta order computed on the basic encoding")
+
+        monkeypatch.setattr(compiler, "beta_elimination_order", refused)
+        formula, hint = encode_instance(worked_example(), "basic")
+        assert formula.clauses == encode_basic(worked_example()).clauses
+        assert hint == order_from_decomposition(
+            minfill_decomposition(formula_incidence_graph(formula)))
+
+    def test_large_basic_encoding_gets_minfill_hint(self):
+        inst = parse_instance(gen_labs(17, 3)).instance
+        formula, hint = encode_instance(inst)
+        g = formula_incidence_graph(formula)
+        assert g.node_count == 4615
+        assert hint == order_from_decomposition(minfill_decomposition(g))
+
+    @pytest.mark.parametrize("encoding", ["bogus", "", "Auto", None])
+    def test_unknown_encoding_refused(self, encoding):
+        with pytest.raises(ValueError, match="encoding"):
+            encode_instance(worked_example(), encoding)
+        with pytest.raises(ValueError, match="encoding"):
+            compile_instance(worked_example(), encoding)

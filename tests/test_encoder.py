@@ -237,3 +237,10 @@ class TestDimacs:
         from nnfopt import CnfFormula
         with pytest.raises(ValueError, match="both signs"):
             CnfFormula([x(1)], [[lit(x(1), True), lit(x(1), False)]])
+
+    def test_undeclared_variable_rejected(self):
+        from nnfopt import CnfFormula
+        with pytest.raises(ValueError, match=r"^undeclared variable x2$"):
+            CnfFormula([x(1)], [[lit(x(2), True)]])
+        with pytest.raises(ValueError, match=r"^undeclared variable y0$"):
+            CnfFormula([x(1)], [[lit(x(1), True), lit(y(0), False)]])

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+from beta_reference import (_is_nest_point_reference, beta_elimination_order_reference,
+                            is_valid_elimination_order_reference)
 from corpus import (corpus_instance, exhaustive_beta_acyclic, worked_example,
-                    random_cycle_hypergraph, random_hypergraph)
+                    random_beta_acyclic_instance, random_cycle_hypergraph,
+                    random_hypergraph)
 from minfill_reference import minfill_decomposition_reference
 from nnfopt import (Graph, Hypergraph, TreeDecomposition, beta_elimination_order,
                     cycle_decomposition, encode_basic, formula_incidence_graph,
@@ -33,6 +36,12 @@ class TestHypergraphBasics:
         h = Hypergraph([1, 2], [{1, 2}, {1, 2}])
         assert len(h.edges) == 2
         assert h.edge_vertices(0) == h.edge_vertices(1) == (1, 2)
+
+    def test_duplicate_vertices_rejected(self):
+        with pytest.raises(ValueError, match="duplicate vertices"):
+            Hypergraph([1, 1, 2], [{1, 2}])
+        with pytest.raises(TypeError):
+            Hypergraph([[1]])
 
 
 class TestBetaAcyclicity:
@@ -67,6 +76,86 @@ class TestBetaAcyclicity:
 
     def test_order_is_lowest_id_greedy(self):
         assert beta_elimination_order(worked_hypergraph()) == (1, 2, 3, 4, 5, 6)
+
+
+def interval_hypergraph(rng: random.Random, n: int) -> Hypergraph:
+    """2n intervals of 2-6 consecutive vertices on the path 0..n-1."""
+    edges = []
+    for _ in range(2 * n):
+        size = rng.randint(2, min(6, n))
+        start = rng.randint(0, n - size)
+        edges.append(range(start, start + size))
+    return Hypergraph(range(n), edges)
+
+
+def random_elimination_order(rng: random.Random, h: Hypergraph):
+    """A uniformly drawn nest point per round, so a valid order that is
+    in general not the greedy one; None when h is not beta-acyclic."""
+    remaining, edges, order = set(h.vertices), list(h.edges), []
+    while remaining:
+        nests = [v for v in sorted(remaining) if _is_nest_point_reference(v, edges)]
+        if not nests:
+            return None
+        pick = rng.choice(nests)
+        order.append(pick)
+        remaining.discard(pick)
+        edges = [e - {pick} for e in edges if e - {pick}]
+    return tuple(order)
+
+
+class TestBetaMatchesReference:
+    """beta_elimination_order and is_valid_elimination_order give the
+    orders and verdicts of the frozen copies in tests/beta_reference.py."""
+
+    def assert_same(self, h: Hypergraph, rng: random.Random) -> None:
+        order = beta_elimination_order(h)
+        assert order == beta_elimination_order_reference(h)
+        proposals = [tuple(h.vertices), tuple(reversed(h.vertices)),
+                     tuple(h.vertices)[1:], tuple(h.vertices) + tuple(h.vertices)[:1]]
+        if order is not None:
+            proposals += [order, random_elimination_order(rng, h)]
+        for _ in range(3):
+            shuffled = list(h.vertices)
+            rng.shuffle(shuffled)
+            proposals.append(tuple(shuffled))
+        for proposal in proposals:
+            assert (is_valid_elimination_order(h, proposal)
+                    == is_valid_elimination_order_reference(h, proposal)), proposal
+        if order is not None:
+            assert is_valid_elimination_order(h, order)
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(1212)
+        acyclic = 0
+        for _ in range(300):
+            h = random_hypergraph(rng, max_v=9, max_e=9)
+            if h.edges and rng.random() < 0.5:
+                # repeat some edges: edge identity is positional
+                extra = [rng.choice(h.edges) for _ in range(rng.randint(1, 3))]
+                h = Hypergraph(h.vertices, h.edges + tuple(extra))
+            acyclic += beta_elimination_order(h) is not None
+            self.assert_same(h, rng)
+        for _ in range(100):
+            h = random_beta_acyclic_instance(rng, max_v=9, max_e=9).hypergraph
+            self.assert_same(Hypergraph(h.vertices, h.edges + h.edges[:1]), rng)
+        assert 30 < acyclic < 270, acyclic
+
+    def test_acceptance_corpus(self):
+        rng = random.Random(20250809)
+        for _ in range(500):
+            self.assert_same(corpus_instance(rng).hypergraph, rng)
+
+    def test_intervals(self):
+        rng = random.Random(0)
+        for n in (2, 5, 16, 60, 250):
+            h = interval_hypergraph(rng, n)
+            assert beta_elimination_order(h) is not None
+            self.assert_same(h, rng)
+
+    def test_greedy_never_validates_a_non_order(self):
+        h = Hypergraph([1, 2, 3], [{1, 2}, {2, 3}, {3, 1}])
+        for order in ((1, 2, 3), (3, 2, 1), (1, 2), (1, 2, 3, 4), (1, 1, 2, 3)):
+            assert not is_valid_elimination_order(h, order)
 
 
 class TestIncidenceGraph:

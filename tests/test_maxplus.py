@@ -296,8 +296,10 @@ class TestScalingInvariance:
                               for v in inst.hypergraph.vertices)
                         for m in models if weights.value_of(m) == best}
 
-            assert argmax_points(w) == argmax_points(w.scaled(factor))
-            assert optimize(c, w).witness == optimize(c, w.scaled(factor)).witness
+            scaled = WeightFunction(w.universe, {(v, b): w.weight(v, b) * factor
+                                                 for v in w.universe for b in (0, 1)})
+            assert argmax_points(w) == argmax_points(scaled)
+            assert optimize(c, w).witness == optimize(c, scaled).witness
 
 
 class TestWitnessCheck:
