@@ -11,7 +11,8 @@ from .circuit import (CapExceeded, CircuitBuilder, NnfCircuit, StructureReport,
                       model_count, normalize_for_extform, reroot,
                       smooth_binary_form, to_nnf_text)
 from .cnf import (CnfFormula, CnfVariable, encode_basic, encode_ordered,
-                  formula_hypergraph, formula_incidence_graph, instance_variables)
+                  formula_hypergraph, formula_incidence_graph, instance_variables,
+                  lift_decomposition)
 from .compiler import (CompileConfig, compile_formula, compile_instance,
                        encode_instance, order_from_beta, order_from_decomposition)
 from .extform import (LinearSystem, Row, build_system, certificate_point,
@@ -21,8 +22,7 @@ from .extform import (LinearSystem, Row, build_system, certificate_point,
 from .hypergraph import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
                          beta_elimination_order, cycle_decomposition,
                          incidence_graph, is_beta_acyclic,
-                         is_valid_elimination_order, lift_decomposition,
-                         minfill_decomposition)
+                         is_valid_elimination_order, minfill_decomposition)
 from .instances import (GuardViolation, ParsedInstance, ParseError, brute_force,
                         format_instance, gen_labs, labs_energy, parse_instance)
 from .maxplus import (NEG_INF, Optimum, WeightFunction, optimize,

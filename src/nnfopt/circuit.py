@@ -734,7 +734,8 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
     """Parse the text format node for node; the last node is the output.
 
     When no explicit universe is given, variables are the integers
-    1..n from the header.
+    1..n from the header, and n may not exceed the length of the text,
+    so that a short text cannot demand a huge universe.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
     if not lines or not lines[0].startswith("nnf"):
@@ -744,6 +745,8 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
     except Exception as exc:
         raise ValueError("malformed nnf header") from exc
     if variables is None:
+        if nvars > len(text):
+            raise ValueError("header declares more variables than the text has characters")
         variables = tuple(range(1, nvars + 1))
     variables = tuple(variables)
     if len(variables) != nvars:

@@ -122,10 +122,10 @@ def _cmd_card(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    parsed = parse_instance(_read_text(args.file))
-    formula, hint = encode_instance(parsed.instance, args.encoding)
     if not (args.emit_cnf or args.emit_nnf):
         raise ParseError("nothing to emit: pass --emit-cnf and/or --emit-nnf")
+    parsed = parse_instance(_read_text(args.file))
+    formula, hint = encode_instance(parsed.instance, args.encoding)
     if args.emit_cnf:
         sys.stdout.write(formula.to_dimacs())
     if args.emit_nnf:

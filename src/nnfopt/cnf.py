@@ -7,7 +7,9 @@ order.  One loop writes both; the direct encoding is that loop in
 declared vertex order without the link tails.  Both have exactly the
 satisfying assignments where each edge variable equals the product of
 its (polarity-adjusted) vertex bits.  compiler.encode_instance picks the
-encoding and its branch order.
+encoding and its branch order; lift_decomposition reads the clause tags
+to carry a tree decomposition of the instance's incidence graph over to
+the basic encoding's.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
-from .hypergraph import Graph, Hypergraph, LiteralInstance, vertex_node
+from .hypergraph import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
+                         edge_node, incidence_graph, vertex_node)
 
 
 class CnfVariable(namedtuple("CnfVariable", "kind index")):
@@ -164,3 +167,35 @@ def formula_incidence_graph(f: CnfFormula) -> Graph:
         for var, _ in cl:
             g.add_edge(vertex_node(var), ("c", i))
     return g
+
+
+def lift_decomposition(td: TreeDecomposition, h: Hypergraph) -> TreeDecomposition:
+    """Lift a decomposition of incidence_graph(h) to one of the incidence
+    graph of h's basic encoding, of width at most 2*(1 + input width).
+
+    Clause nodes are named as in formula_incidence_graph, from the clause
+    tags of encode_basic.  Every bag is expanded by replacing each edge
+    node with the pair (wide clause node, y variable node), then each link
+    clause is hung off the first bag holding its edge and its vertex.
+    """
+    td.validate(incidence_graph(h))
+    f = encode_basic(LiteralInstance.plain(h, [0] * len(h.edges)))
+    wide = {tag[1]: ("c", k) for k, tag in enumerate(f.tags) if tag[0] == "R"}
+    links = [(k, tag) for k, tag in enumerate(f.tags) if tag[0] == "L"]
+    xn = lambda v: vertex_node(CnfVariable("x", v))
+    yn = lambda i: vertex_node(CnfVariable("y", i))
+
+    bags = {b: frozenset(node for kind, p in td.bags[b]
+                         for node in ((xn(p),) if kind == "v" else (wide[p], yn(p))))
+            for b in sorted(td.bags)}
+    edges_t = [(a, b) for a in sorted(td.tree) for b in sorted(td.tree[a]) if a < b]
+    for b, (k, (_, i, v)) in enumerate(links, max(bags) + 1):
+        host = min(a for a, bag in td.bags.items()
+                   if edge_node(i) in bag and vertex_node(v) in bag)
+        bags[b] = frozenset({yn(i), xn(v), ("c", k)})
+        edges_t.append((host, b))
+    lifted = TreeDecomposition(bags, edges_t)
+    bound = 2 * (1 + td.width)
+    if lifted.width > bound:
+        raise RuntimeError(f"lifted width {lifted.width} exceeds bound {bound}")
+    return lifted

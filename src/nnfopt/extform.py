@@ -399,8 +399,12 @@ def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dic
     check_normalized(c, require_smooth=True)
     kinds, _, pos, neg = c.columns
     bv = c.bit_variables
-    weights = {nid: w.weight(bv[(pos[nid] | neg[nid]).bit_length() - 1], 1 if pos[nid] else 0)
-               for nid, kind in enumerate(kinds) if kind == LIT}
+    weights = {}
+    for nid, kind in enumerate(kinds):
+        if kind == LIT:
+            # integral weights as ints, so that dual_optimize skips scaling
+            k = w.weight(bv[(pos[nid] | neg[nid]).bit_length() - 1], 1 if pos[nid] else 0)
+            weights[nid] = k.numerator if k.denominator == 1 else k
     cost = {eid: weights[ch] for eid, ch in enumerate(chain.from_iterable(c.record_kids))
             if ch in weights}
     return c, cost

@@ -3,6 +3,7 @@
 Vertices can be any hashable, sortable values (ints in practice, CNF
 variables when a formula is viewed as a hypergraph).  Edges form a
 sequence, so duplicate edges are allowed and edge identity is positional.
+Nothing here knows the CNF encodings; cnf builds on this module.
 """
 
 from __future__ import annotations
@@ -356,91 +357,6 @@ def cycle_decomposition(h: Hypergraph) -> Optional[TreeDecomposition]:
         if v not in covered:
             attach(0, frozenset({vertex_node(v)}))
     return TreeDecomposition(bags, edges_t)
-
-
-# ---------------------------------------------------------------------------
-# incidence structure of the basic CNF encoding
-
-# The basic encoding of an instance over hypergraph h has, per edge e,
-# one clause per vertex of e (the y-to-vertex links, emitted in vertex
-# order) followed by one wide clause tying all of e to y_e.  Its incidence
-# graph is fully determined by h; clause nodes are numbered in emission
-# order so they line up with the encoder output.
-
-
-def encoding_clause_index(h: Hypergraph, edge: int, v=None) -> int:
-    """Index of a clause of the basic encoding: link clause of (edge, v),
-    or the wide clause of the edge when v is None."""
-    base = sum(len(h.edges[j]) + 1 for j in range(edge))
-    if v is None:
-        return base + len(h.edges[edge])
-    return base + h.edge_vertices(edge).index(v)
-
-
-def encoding_incidence_graph(h: Hypergraph) -> Graph:
-    """Incidence graph of the basic encoding, built structurally from h."""
-    from .cnf import CnfVariable  # local import; cnf depends on this module
-
-    g = Graph()
-    for v in h.vertices:
-        g.add_node(vertex_node(CnfVariable("x", v)))
-    for i in range(len(h.edges)):
-        g.add_node(vertex_node(CnfVariable("y", i)))
-    for i in range(len(h.edges)):
-        ye = vertex_node(CnfVariable("y", i))
-        for v in h.edge_vertices(i):
-            c = ("c", encoding_clause_index(h, i, v))
-            g.add_edge(c, ye)
-            g.add_edge(c, vertex_node(CnfVariable("x", v)))
-        r = ("c", encoding_clause_index(h, i))
-        g.add_edge(r, ye)
-        for v in h.edge_vertices(i):
-            g.add_edge(r, vertex_node(CnfVariable("x", v)))
-    return g
-
-
-def lift_decomposition(td: TreeDecomposition, h: Hypergraph) -> TreeDecomposition:
-    """Lift a decomposition of incidence_graph(h) to one of the incidence
-    graph of the basic encoding, of width at most 2*(1 + input width).
-
-    Every bag is expanded by duplicating each edge node into the pair
-    (wide clause node, y variable node), then each link clause is hung off
-    a bag already containing its y variable and x variable.
-    """
-    from .cnf import CnfVariable
-
-    td.validate(incidence_graph(h))
-    xn = lambda v: vertex_node(CnfVariable("x", v))
-    yn = lambda i: vertex_node(CnfVariable("y", i))
-    rn = lambda i: ("c", encoding_clause_index(h, i))
-    ln = lambda i, v: ("c", encoding_clause_index(h, i, v))
-
-    bags: dict[int, frozenset] = {}
-    for b in sorted(td.bags):
-        content = set()
-        for node in td.bags[b]:
-            kind, payload = node
-            if kind == "v":
-                content.add(xn(payload))
-            else:
-                content.add(rn(payload))
-                content.add(yn(payload))
-        bags[b] = frozenset(content)
-    edges_t = [(a, b) for a in sorted(td.tree) for b in sorted(td.tree[a]) if a < b]
-
-    nxt = max(bags) + 1
-    for i in range(len(h.edges)):
-        for v in h.edge_vertices(i):
-            host = min(b for b in sorted(td.bags)
-                       if edge_node(i) in td.bags[b] and vertex_node(v) in td.bags[b])
-            bags[nxt] = frozenset({yn(i), xn(v), ln(i, v)})
-            edges_t.append((host, nxt))
-            nxt += 1
-    lifted = TreeDecomposition(bags, edges_t)
-    bound = 2 * (1 + td.width)
-    if lifted.width > bound:
-        raise RuntimeError(f"lifted width {lifted.width} exceeds bound {bound}")
-    return lifted
 
 
 # ---------------------------------------------------------------------------

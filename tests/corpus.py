@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from nnfopt import CircuitBuilder, CnfFormula, Hypergraph, LiteralInstance
+from nnfopt import (CircuitBuilder, CnfFormula, Hypergraph, LiteralInstance, encode_basic,
+                    formula_incidence_graph)
 from nnfopt.cnf import CnfVariable
 
 WORKED_TEXT = "-3 v1 v2 v3\n4 v4 v5\n5 v2 v3 v4 v5 v6\n"
@@ -143,6 +144,11 @@ def random_hypergraph(rng: random.Random, max_v: int = 8, max_e: int = 8) -> Hyp
         size = rng.randint(1, nv)
         edges.append(frozenset(rng.sample(verts, size)))
     return Hypergraph(verts, edges)
+
+
+def basic_incidence_graph(h: Hypergraph):
+    """Incidence graph of the basic encoding of h, as the encoder writes it."""
+    return formula_incidence_graph(encode_basic(LiteralInstance.plain(h, [0] * len(h.edges))))
 
 
 def random_beta_acyclic_instance(rng: random.Random, max_v: int = 8,

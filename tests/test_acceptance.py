@@ -16,8 +16,8 @@ from math import comb
 
 import pytest
 
-from corpus import corpus_instance, worked_example, random_cycle_hypergraph, \
-    random_hypergraph
+from corpus import basic_incidence_graph, corpus_instance, worked_example, \
+    random_cycle_hypergraph, random_hypergraph
 from extform_reference import dual_optimize_reference
 from nnfopt import (CardinalitySpec, CompileConfig, WeightFunction,
                     beta_elimination_order, brute_force, build_system,
@@ -293,6 +293,7 @@ class TestCriterion7DecompositionBounds:
             td = minfill_decomposition(incidence_graph(h))
             lifted = lift_decomposition(td, h)
             assert lifted.width <= 2 * (1 + td.width)
+            lifted.validate(basic_incidence_graph(h))
         print(PASS.format(7, "lift width bound holds on 100 instances"))
 
     def test_cycle_width_50(self):

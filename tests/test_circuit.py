@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,19 @@ class TestNnfText:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             from_nnf_text("cnf 1 0 1\n")
+
+    def test_header_universe_bounded_by_text_length(self):
+        # each declared variable costs at most one byte of text, so a
+        # short text cannot make the parser build a huge universe
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more variables than the text"):
+                from_nnf_text("nnf 1 0 2000000\nA 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert len(from_nnf_text("nnf 1 0 13\nA 0\n").variables) == 13
 
     def test_foreign_or_without_decision_marked_nondeterministic(self):
         text = "nnf 3 2 1\nL 1\nL -1\nO 0 2 0 1\n"

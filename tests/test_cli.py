@@ -365,6 +365,18 @@ class TestFlagValues:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
+    def test_compile_without_emit_flag_is_refused_before_encoding(self, capsys,
+                                                                  monkeypatch, example):
+        def no_encode(*args):
+            raise AssertionError("encoded before the emit flags were checked")
+
+        monkeypatch.setattr(cli, "encode_instance", no_encode)
+        assert main(["compile", example]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: nothing to emit: pass --emit-cnf and/or --emit-nnf"]
+
     def test_extreme_sums_accepted(self, capsys, example):
         code, out = run(capsys, "card", "--set", "0,6", example)
         assert code == 0 and out.splitlines()[0] == "optimum 6"

@@ -11,7 +11,6 @@ from nnfopt import (Hypergraph, LiteralInstance, beta_elimination_order,
                     encode_basic, encode_ordered, formula_hypergraph,
                     formula_incidence_graph, is_beta_acyclic)
 from nnfopt.cnf import CnfVariable
-from nnfopt.hypergraph import encoding_incidence_graph
 
 
 def x(v):
@@ -208,15 +207,6 @@ class TestFormulaViews:
         from nnfopt import CnfFormula
         f = CnfFormula([x(1)], [])
         assert formula_incidence_graph(f).edge_count == 0
-
-    def test_structural_incidence_matches_encoder(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            inst = random_instance(rng, max_v=5, max_e=5, max_deg=3)
-            built = formula_incidence_graph(encode_basic(inst))
-            structural = encoding_incidence_graph(inst.hypergraph)
-            assert set(built.nodes) == set(structural.nodes)
-            assert built.edges() == structural.edges()
 
 
 class TestDimacs:

@@ -6,9 +6,9 @@ import pytest
 
 from beta_reference import (_is_nest_point_reference, beta_elimination_order_reference,
                             is_valid_elimination_order_reference)
-from corpus import (corpus_instance, exhaustive_beta_acyclic, worked_example,
+from corpus import (basic_incidence_graph, corpus_instance, exhaustive_beta_acyclic,
                     random_beta_acyclic_instance, random_cycle_hypergraph,
-                    random_hypergraph)
+                    random_hypergraph, worked_example)
 from minfill_reference import minfill_decomposition_reference
 from nnfopt import (Graph, Hypergraph, TreeDecomposition, beta_elimination_order,
                     cycle_decomposition, encode_basic, formula_incidence_graph,
@@ -16,7 +16,6 @@ from nnfopt import (Graph, Hypergraph, TreeDecomposition, beta_elimination_order
                     is_valid_elimination_order, lift_decomposition,
                     minfill_decomposition, order_from_decomposition,
                     parse_instance)
-from nnfopt.hypergraph import encoding_incidence_graph
 
 
 def worked_hypergraph():
@@ -347,21 +346,31 @@ class TestLiftDecomposition:
         td = minfill_decomposition(incidence_graph(h))
         lifted = lift_decomposition(td, h)
         assert lifted.width <= 2 * (1 + td.width)
-        lifted.validate(encoding_incidence_graph(h))
+        lifted.validate(basic_incidence_graph(h))
 
     def test_worked_example_bound(self):
         h = worked_hypergraph()
         td = minfill_decomposition(incidence_graph(h))
         lifted = lift_decomposition(td, h)
         assert lifted.width <= 2 * (1 + td.width)
-        lifted.validate(encoding_incidence_graph(h))
+        lifted.validate(basic_incidence_graph(h))
 
     def test_no_edges_rename_only(self):
         h = Hypergraph([1, 2])
         td = minfill_decomposition(incidence_graph(h))
         lifted = lift_decomposition(td, h)
-        lifted.validate(encoding_incidence_graph(h))
+        lifted.validate(basic_incidence_graph(h))
         assert lifted.width == td.width
+
+    @pytest.mark.parametrize("h", [
+        Hypergraph([1, 2, 3], [{1, 2}, {2, 3}, {1, 2}]),
+        Hypergraph([1, 2, 3, 4], [{1, 2}, {2, 3}]),
+    ], ids=["repeated-edge", "isolated-vertex"])
+    def test_degenerate_hypergraphs(self, h):
+        td = minfill_decomposition(incidence_graph(h))
+        lifted = lift_decomposition(td, h)
+        assert lifted.width <= 2 * (1 + td.width)
+        lifted.validate(basic_incidence_graph(h))
 
     def test_invalid_input_rejected(self):
         h = worked_hypergraph()
@@ -376,7 +385,7 @@ class TestLiftDecomposition:
             td = minfill_decomposition(incidence_graph(h))
             lifted = lift_decomposition(td, h)
             assert lifted.width <= 2 * (1 + td.width)
-            lifted.validate(encoding_incidence_graph(h))
+            lifted.validate(basic_incidence_graph(h))
 
 
 class TestTreeDecompositionValidation:
