@@ -1,10 +1,13 @@
 """NNF circuits: structure, semantics, normal forms and serialization.
 
-Nodes are numbered in topological order (children before parents), so a
-single ascending pass implements every bottom-up computation.  Or nodes
-may carry a decision marker: either a variable whose value the children
-fix in opposite ways, or an opaque pseudo-variable tag (a tuple starting
-with a '#' string) recorded by circuit transformations whose children are
+Node kinds are LIT, AND and OR.  The constants are empty gates: true is
+an And with no children or literals, false an Or with no children, and
+each pass's And and Or rules give them their values.  Nodes are numbered
+in topological order (children before parents), so a single ascending
+pass implements every bottom-up computation.  Or nodes may carry a
+decision marker: either a variable whose value the children fix in
+opposite ways, or an opaque pseudo-variable tag (a tuple starting with a
+'#' string) recorded by circuit transformations whose children are
 model-disjoint by construction.
 
 Circuits are stored only as columns over bitmasks, in which an And node
@@ -30,7 +33,7 @@ from itertools import chain, count
 from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
-FALSE, TRUE, LIT, AND, OR = "F", "T", "L", "A", "O"
+LIT, AND, OR = "L", "A", "O"
 
 
 class CapExceeded(Exception):
@@ -63,9 +66,9 @@ class NnfCircuit:
     Columns are the only stored form: columns is (kinds, kids, pos,
     neg), four lists with one entry per node, children before parents.
     Variables are numbered by their position in bit_variables.  A
-    literal node has pos or neg set to its one bit; an And node's
+    literal node (LIT) has pos or neg set to its one bit; an And node's
     pos/neg masks are its literal block; an Or node keeps its decision
-    marker in pos.
+    marker in pos.  True is an empty And, false an empty Or.
 
     record_kids lists each node's children with every block expanded to
     its literal nodes, in universe order, ahead of the other kids.  Edge
@@ -147,13 +150,13 @@ class NnfCircuit:
 
 class CircuitBuilder:
     """Accumulates nodes in topological order as columns; literals and the
-    two constants are deduplicated."""
+    two constants, the empty And and the empty Or, are deduplicated."""
 
     def __init__(self, variables: Sequence) -> None:
         self.variables = tuple(variables)
         self.columns: tuple = ([], [], [], [])
         self._bit = {v: i for i, v in enumerate(self.variables)}
-        self._leaves: dict = {}     # FALSE, TRUE or (variable, sign) -> node
+        self._leaves: dict = {}     # AND (true), OR (false) or (variable, sign) -> node
 
     def _leaf(self, key, kind, a=0, b=0) -> int:
         if key not in self._leaves:
@@ -161,10 +164,10 @@ class CircuitBuilder:
         return self._leaves[key]
 
     def false(self) -> int:
-        return self._leaf(FALSE, FALSE)
+        return self._leaf(OR, OR, None)
 
     def true(self) -> int:
-        return self._leaf(TRUE, TRUE)
+        return self._leaf(AND, AND)
 
     def literal(self, var, sign: bool) -> int:
         if var not in self._bit:
@@ -209,16 +212,12 @@ def evaluate(c: NnfCircuit, assignment: Mapping) -> bool:
         kind = kinds[nid]
         if kind == OR:
             decided = False
-        elif kind == AND or kind == LIT:
+        else:
             decided = True
             if i == 0 and (pos[nid] & ~ones or neg[nid] & ones):
                 value[nid] = False
                 stack.pop()
                 continue
-        else:
-            value[nid] = kind == TRUE
-            stack.pop()
-            continue
         ks = kids[nid]
         while i < len(ks):
             got = value.get(ks[i])
@@ -280,7 +279,7 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     decomposable = smooth = deterministic = True
     marker = d = None                # the last Or marker seen, and its mask
     for nid, (kind, ks, a, b) in enumerate(zip(kinds, kids, pos, neg)):
-        if kind == AND or kind == LIT:
+        if kind != OR:
             m = a | b
             clash = a & b
             if clash:
@@ -304,7 +303,7 @@ def check_structure(c: NnfCircuit) -> StructureReport:
                 if not refs[ch]:
                     vm[ch] = f1[ch] = f0[ch] = 0
             vm[nid], f1[nid], f0[nid] = m, x1 ^ (x1 & not1), x0 ^ (x0 & not0)
-        elif kind == OR:
+        else:
             m = 0
             x1 = x0 = dmask if ks else 0
             for ch in ks:
@@ -350,9 +349,10 @@ def fold_constants(c: NnfCircuit) -> tuple[tuple, int]:
     nodes drop false children and fold to true on a true child.  A
     one-literal block becomes the And's first child; a gate left with one
     child and no block folds to that child, and with none to its
-    constant.  root is the output's representative: a live node id,
-    FOLD_FALSE or FOLD_TRUE.  Circuits are immutable, so the result is
-    computed on the first call for a circuit and kept on it; the
+    constant, FOLD_TRUE or FOLD_FALSE (so no live row is an empty gate).
+    root is the output's representative: a live node id or a constant.
+    Circuits are immutable, so the result is computed on the first call
+    for a circuit and kept on it; the
     cardinality, knapsack and normal-form passes all start from it.
     """
     folded = c.__dict__.get("_folded")
@@ -400,7 +400,7 @@ def fold_constants(c: NnfCircuit) -> tuple[tuple, int]:
                 else:
                     rep[nid] = nid
                     live.append((nid, AND, tuple(ks), a, b))
-        elif kind == OR:
+        else:
             ks = []
             for ch in kids[nid]:
                 r = rep[ch]
@@ -417,8 +417,6 @@ def fold_constants(c: NnfCircuit) -> tuple[tuple, int]:
                 else:
                     rep[nid] = nid
                     live.append((nid, OR, tuple(ks), pos[nid], 0))
-        elif kind == TRUE:
-            rep[nid] = FOLD_TRUE
     c._folded = (tuple(live), rep[out])
     return c._folded
 
@@ -433,9 +431,9 @@ def smooth_fold(c: NnfCircuit, rows: Iterable, root: int, leaf, and_, or_, pad, 
     leaf(a, b) per literal, and_(a, b, values) per And node with literal
     block a, b, and or_(marker, values) per Or node, each child's value
     padded first by pad(value, missing) when the mask of the variables it
-    misses is nonzero.  TRUE and FALSE nodes and a constant root are one
-    and zero.  A false root gives zero unpadded; any other root's value
-    comes back padded to the whole universe.
+    misses is nonzero.  An empty And or Or is valued by and_ or or_ over
+    no values; a FOLD_TRUE root is one, and a FOLD_FALSE root gives zero
+    unpadded.  Any other root's value comes back padded to the universe.
     """
     vm = [0] * c.node_count     # variables mentioned
     val: list = [None] * c.node_count
@@ -453,12 +451,10 @@ def smooth_fold(c: NnfCircuit, rows: Iterable, root: int, leaf, and_, or_, pad, 
             vm[nid] = m
             val[nid] = or_(a, [pad(val[r], missing) if (missing := m ^ vm[r]) else val[r]
                                for r in ks])
-        elif kind == LIT:
+        else:
             vm[nid] = a | b
             val[nid] = leaf(a, b)
-        else:
-            val[nid] = one if kind == TRUE else zero
-    if root == FOLD_FALSE or root >= 0 and c.columns[0][root] == FALSE:
+    if root == FOLD_FALSE:
         return zero
     value, m = (one, 0) if root == FOLD_TRUE else (val[root], vm[root])
     missing = ((1 << len(c.variables)) - 1) ^ m
@@ -560,9 +556,9 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
                       lambda a, b, ks: add_node(out, AND, tuple(ks), a, b),
                       lambda d, ks: add_node(out, OR, tuple(ks), d), pad, None, FOLD_FALSE)
     if top == FOLD_FALSE:
-        return NnfCircuit(c.variables, bv, ([OR], [()], [None], [0]), 0)
-    if top is None:
-        top = add_node(out, TRUE)
+        top = add_node(out, OR, (), None)
+    elif top is None:
+        top = add_node(out, AND)
     if out[0][top] != OR:
         top = add_node(out, OR, (top,), None)
     columns, top = _compact(out, top)
@@ -618,7 +614,7 @@ def check_normalized(c: NnfCircuit, require_smooth: bool = True) -> None:
             verdict = "every node must lie on a path to the output"
         elif len(set(lits)) != len(lits):
             verdict = "each literal may label at most one input"
-        elif FALSE in kinds:
+        elif any(kind == OR and not ks for kind, ks in zip(kinds, kids[:c.output])):
             verdict = "false nodes must be folded away"
         elif not check_structure(c).decomposable:
             verdict = "circuit must be decomposable"
@@ -714,19 +710,13 @@ def to_nnf_text(c: NnfCircuit) -> str:
     kinds, _, pos, neg = c.columns
     lines = [f"nnf {c.node_count} {c.edge_count} {len(c.variables)}"]
     for kind, ks, a, b in zip(kinds, c.record_kids, pos, neg):
-        if kind == TRUE:
-            lines.append("A 0")
-        elif kind == FALSE:
-            lines.append("O 0 0")
-        elif kind == LIT:
+        if kind == LIT:
             n = num[bv[(a | b).bit_length() - 1]]
             lines.append(f"L {n if a else -n}")
-        else:
-            if kind == AND:
-                head = "A"
-            else:
-                head = f"O {num[a] if a is not None and not is_pseudo_decision(a) else 0}"
-            lines.append(" ".join([head, str(len(ks)), *map(str, ks)]))
+            continue
+        head = "A" if kind == AND else \
+            f"O {num[a] if a is not None and not is_pseudo_decision(a) else 0}"
+        lines.append(" ".join([head, str(len(ks)), *map(str, ks)]))
     return "\n".join(lines) + "\n"
 
 
@@ -765,17 +755,14 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
         elif tag == "A":
             if not args or args[0] != len(args) - 1:
                 raise ValueError(f"bad And line: {ln}")
-            add_gate(columns, AND if args[0] else TRUE, tuple(args[1:]))
+            add_gate(columns, AND, tuple(args[1:]))
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise ValueError(f"bad Or line: {ln}")
             if not 0 <= args[0] <= nvars:
                 raise ValueError(f"decision variable {args[0]} out of range")
-            if args[1] == 0:
-                add_node(columns, FALSE)
-            else:
-                d = variables[args[0] - 1] if args[0] else None
-                add_gate(columns, OR, tuple(args[2:]), d)
+            d = variables[args[0] - 1] if args[0] else None
+            add_gate(columns, OR, tuple(args[2:]), d)
         else:
             raise ValueError(f"unknown node tag {tag}")
     if len(columns[0]) != ncount:

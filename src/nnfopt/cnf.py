@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
 from .hypergraph import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
-                         edge_node, incidence_graph, vertex_node)
+                         incidence_graph, vertex_node)
 
 
 class CnfVariable(namedtuple("CnfVariable", "kind index")):
@@ -176,7 +176,8 @@ def lift_decomposition(td: TreeDecomposition, h: Hypergraph) -> TreeDecompositio
     Clause nodes are named as in formula_incidence_graph, from the clause
     tags of encode_basic.  Every bag is expanded by replacing each edge
     node with the pair (wide clause node, y variable node), then each link
-    clause is hung off the first bag holding its edge and its vertex.
+    clause is hung off the first bag holding its edge and its vertex,
+    found in one pass over the bags.
     """
     td.validate(incidence_graph(h))
     f = encode_basic(LiteralInstance.plain(h, [0] * len(h.edges)))
@@ -189,11 +190,16 @@ def lift_decomposition(td: TreeDecomposition, h: Hypergraph) -> TreeDecompositio
                          for node in ((xn(p),) if kind == "v" else (wide[p], yn(p))))
             for b in sorted(td.bags)}
     edges_t = [(a, b) for a in sorted(td.tree) for b in sorted(td.tree[a]) if a < b]
+    host: dict = {}     # (edge, vertex) -> the lowest bag holding both
+    for a in sorted(td.bags):
+        members = [p for kind, p in td.bags[a] if kind == "v"]
+        for kind, i in td.bags[a]:
+            if kind != "v":
+                for v in members:
+                    host.setdefault((i, v), a)
     for b, (k, (_, i, v)) in enumerate(links, max(bags) + 1):
-        host = min(a for a, bag in td.bags.items()
-                   if edge_node(i) in bag and vertex_node(v) in bag)
         bags[b] = frozenset({yn(i), xn(v), ("c", k)})
-        edges_t.append((host, b))
+        edges_t.append((host[(i, v)], b))
     lifted = TreeDecomposition(bags, edges_t)
     bound = 2 * (1 + td.width)
     if lifted.width > bound:

@@ -31,7 +31,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .circuit import AND, FALSE, LIT, OR, TRUE, NnfCircuit, _compact, mask_bits
+from .circuit import AND, LIT, OR, NnfCircuit, _compact, mask_bits
 from .cnf import CnfFormula, CnfVariable, encode_basic, encode_ordered, \
     formula_incidence_graph
 from .hypergraph import Hypergraph, LiteralInstance, TreeDecomposition, \
@@ -195,7 +195,6 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     neg: list = []
     lit_ids: dict = {}
     unmade = [everything, everything]   # literals without a node: negative, positive
-    true_id = None
     number = [f.variable_number(v) for v in base]
     budget = cfg.cache_budget
     cache: dict = {}
@@ -463,21 +462,12 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
         return comps, lits1, lits0, (a1, a0, zero), free, start
 
     def assemble(lits1, lits0, parts) -> int:
-        """The node of a search node: its literal block and component nodes."""
-        nonlocal true_id
+        """The node of a search node: its literal block and component nodes
+        (an empty And for an empty one, which only the root can be)."""
         lits = lits1 | lits0
-        if not parts:
-            if not lits:
-                if true_id is None:
-                    kinds.append(TRUE)
-                    kids.append(())
-                    pos.append(0)
-                    neg.append(0)
-                    true_id = len(kinds) - 1
-                return true_id
-            if not lits & (lits - 1):
-                return lit_ids[(lits.bit_length() - 1, 1 if lits1 else 0)]
-        elif not lits and len(parts) == 1:
+        if not parts and lits and not lits & (lits - 1):
+            return lit_ids[(lits.bit_length() - 1, 1 if lits1 else 0)]
+        if not lits and len(parts) == 1:
             return parts[0]
         kinds.append(AND)
         kids.append(tuple(parts))
@@ -549,7 +539,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 stack.pop()
                 root = stop.value
     if root == _FAIL:
-        return NnfCircuit(variables, base, ([FALSE], [()], [0], [0]), 0)
+        return NnfCircuit(variables, base, ([OR], [()], [None], [0]), 0)
     columns = (kinds, kids, pos, neg)
     if wasted:
         columns, root = _compact(columns, root)

@@ -32,8 +32,7 @@ from math import lcm, prod
 from operator import mul
 from typing import Mapping, NamedTuple, Optional
 
-from .circuit import (AND, FALSE, LIT, OR, CapExceeded, CircuitBuilder,
-                      NnfCircuit, check_normalized)
+from .circuit import AND, LIT, OR, CapExceeded, CircuitBuilder, NnfCircuit, check_normalized
 from .maxplus import WeightFunction
 
 
@@ -264,14 +263,14 @@ def validate_certificate(c: NnfCircuit, gates: frozenset) -> None:
     for nid in gates:
         kind = kinds[nid]
         if kind == OR:
+            if not record_kids[nid]:
+                raise ValueError("certificates cannot pass through false")
             chosen = [ch for ch in record_kids[nid] if ch in gates]
             if len(chosen) != 1:
                 raise ValueError(f"Or gate {nid} must have exactly one chosen input")
         elif kind == AND:
             if any(ch not in gates for ch in record_kids[nid]):
                 raise ValueError(f"And gate {nid} must have all inputs chosen")
-        elif kind == FALSE:
-            raise ValueError("certificates cannot pass through false")
         if nid != c.output and nid not in fed:
             raise ValueError(f"gate {nid} feeds no chosen gate")
 
@@ -285,23 +284,18 @@ def enumerate_certificates(c: NnfCircuit, cap: int = 100000) -> list[frozenset]:
     check_normalized(c, require_smooth=False)
     table: list[list[frozenset]] = []
     for nid, (kind, ks) in enumerate(zip(c.columns[0], c.record_kids)):
-        if kind == AND:
-            n = prod(len(table[ch]) for ch in ks)
-        elif kind == OR:
-            n = sum(len(table[ch]) for ch in ks)
-        else:
-            n = 0 if kind == FALSE else 1
+        # a literal is an And over no children
+        n = sum(len(table[ch]) for ch in ks) if kind == OR else \
+            prod(len(table[ch]) for ch in ks)
         if n > cap:
             raise CapExceeded("certificate cap exceeded")
-        if kind == AND:
+        if kind == OR:
+            table.append([t | {nid} for ch in ks for t in table[ch]])
+        else:
             acc = [frozenset((nid,))]
             for ch in ks:
                 acc = [t | s for t in acc for s in table[ch]]
             table.append(acc)
-        elif kind == OR:
-            table.append([t | {nid} for ch in ks for t in table[ch]])
-        else:
-            table.append([frozenset((nid,))] if n else [])
     return table[c.output]
 
 
@@ -402,9 +396,8 @@ def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dic
     weights = {}
     for nid, kind in enumerate(kinds):
         if kind == LIT:
-            # integral weights as ints, so that dual_optimize skips scaling
-            k = w.weight(bv[(pos[nid] | neg[nid]).bit_length() - 1], 1 if pos[nid] else 0)
-            weights[nid] = k.numerator if k.denominator == 1 else k
+            weights[nid] = w.weight(bv[(pos[nid] | neg[nid]).bit_length() - 1],
+                                    1 if pos[nid] else 0)
     cost = {eid: weights[ch] for eid, ch in enumerate(chain.from_iterable(c.record_kids))
             if ch in weights}
     return c, cost

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .hypergraph import Hypergraph, LiteralInstance
-from .transforms import CardinalitySpec
+from .transforms import CardinalitySpec, _integer
 
 log = logging.getLogger(__name__)
 
@@ -189,10 +189,12 @@ def brute_force(inst: LiteralInstance,
         sums = spec.sums
     elif spec is not None:
         counted_pos = list(range(n))
-        sums = frozenset(int(s) for s in spec)
+        sums = frozenset(_integer(s, "sum") for s in spec)
 
     denom = math.lcm(*(p.denominator for p in inst.profit)) if inst.profit else 1
-    scaled = np.array([int(p * denom) for p in inst.profit], dtype=np.int64)
+    scaled = [int(p * denom) for p in inst.profit]
+    # int64 holds every partial sum below 2**63; past that, exact Python ints
+    scaled = np.array(scaled, dtype=np.int64 if sum(map(abs, scaled)) < 1 << 63 else object)
 
     total = 1 << n
     chunk = min(total, 1 << _CHUNK_BITS)

@@ -21,8 +21,7 @@ from itertools import count, islice
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .circuit import (AND, LIT, OR, TRUE, NnfCircuit, check_structure, evaluate,
-                      mask_bits, smooth_fold)
+from .circuit import OR, NnfCircuit, check_structure, evaluate, mask_bits, smooth_fold
 from .cnf import CnfVariable, instance_variables
 from .hypergraph import LiteralInstance
 
@@ -30,7 +29,8 @@ NEG_INF = float("-inf")
 
 
 class WeightFunction:
-    """Exact rational weight per (variable, bit), total on a universe."""
+    """Exact rational weight per (variable, bit), total on a universe;
+    integral weights are kept as ints, so integer passes convert none."""
 
     def __init__(self, universe: Sequence, table: Mapping) -> None:
         self.universe = tuple(universe)
@@ -41,12 +41,13 @@ class WeightFunction:
                 raise ValueError(f"weight on undeclared variable {var!r}")
             if bit not in (0, 1):
                 raise ValueError("bit must be 0 or 1")
-            self._w[(var, bit)] = Fraction(val)
+            val = Fraction(val)
+            self._w[(var, bit)] = val.numerator if val.denominator == 1 else val
         for var in self.universe:
-            self._w.setdefault((var, 0), Fraction(0))
-            self._w.setdefault((var, 1), Fraction(0))
+            self._w.setdefault((var, 0), 0)
+            self._w.setdefault((var, 1), 0)
 
-    def weight(self, var, bit) -> Fraction:
+    def weight(self, var, bit) -> int | Fraction:
         return self._w[(var, int(bit))]
 
     def value_of(self, assignment: Mapping) -> Fraction:
@@ -153,7 +154,7 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
 
     m: list = []        # scaled m(v); None stands for -infinity
     for kind, ks, a, b in zip(kinds, kids, pos, neg):
-        if kind == AND or kind == LIT:
+        if kind != OR:
             acc = total - len(ks) * total
             for ch in ks:
                 x = m[ch]
@@ -164,15 +165,13 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
             if acc is not None and (a or b):
                 acc -= _block_regret(a, b, planes1, planes0)
             m.append(acc)
-        elif kind == OR:
+        else:
             best = None
             for ch in ks:
                 x = m[ch]
                 if x is not None and (best is None or x > best):
                     best = x
             m.append(best)
-        else:
-            m.append(total if kind == TRUE else None)
 
     if m[c.output] is None:
         return Optimum(NEG_INF, None)
@@ -182,14 +181,13 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
     stack = [c.output]
     while stack:
         nid = stack.pop()
-        kind = kinds[nid]
-        if kind == AND or kind == LIT:
+        if kinds[nid] != OR:
             for i in mask_bits(pos[nid]):
                 witness[bv[i]] = 1
             for i in mask_bits(neg[nid]):
                 witness[bv[i]] = 0
             stack.extend(kids[nid])
-        elif kind == OR:
+        else:
             for ch in kids[nid]:
                 if m[ch] == m[nid]:
                     stack.append(ch)
@@ -279,6 +277,8 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
     pads: dict = {}     # missing-variable mask -> its k best completions
 
     def pad(entries: list, missing: int) -> list:
+        if not entries:     # a false node stays empty, whatever it misses
+            return []
         got = pads.get(missing)
         if got is None:
             got = [(0, 0)]

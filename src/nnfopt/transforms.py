@@ -22,8 +22,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .circuit import (AND, FALSE, LIT, OR, TRUE, NnfCircuit, add_node,
+from .circuit import (AND, LIT, OR, NnfCircuit, add_node,
                       check_structure, fold_constants, mask_bits, smooth_fold)
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; ValueError unless x is integral, rather than truncating."""
+    if int(x) != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,7 @@ class CardinalitySpec:
 
     def __init__(self, variables: Iterable, sums: Iterable[int]):
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "sums", frozenset(int(s) for s in sums))
+        object.__setattr__(self, "sums", frozenset(_integer(s, "sum") for s in sums))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("counted variables must be distinct")
         bad = [s for s in self.sums if not 0 <= s <= len(self.variables)]
@@ -167,7 +174,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
                             chain.from_iterable(t.items() for t in tables), mark),
                         pad, None, {})
     if table is None:
-        table = {0: add_node(out, TRUE)}
+        table = {0: add_node(out, AND)}
     return out, table, size
 
 
@@ -207,7 +214,7 @@ def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tu
     roots = []
     for i in range(p + 1):
         if i not in table and false is None:
-            false = add_node(columns, FALSE)
+            false = add_node(columns, OR, (), None)
         roots.append(table.get(i, false))
     output = add_node(columns, OR, tuple(table.values()), marker)
     return _finish(c, columns, output, size, p), tuple(roots)
@@ -232,14 +239,9 @@ def knapsack_transform(c: NnfCircuit, coeffs: Mapping, lower: int, upper: int) -
     achievable partial sums, which is bounded by the total absolute
     coefficient mass.
     """
-    clean = {}
-    for v, cv in coeffs.items():
-        if int(cv) != cv:
-            raise ValueError(f"knapsack coefficient for {v!r} must be an integer")
-        clean[v] = int(cv)
-    coeffs = clean
+    coeffs = {v: _integer(cv, f"knapsack coefficient for {v!r}") for v, cv in coeffs.items()}
     _require_transformable(c, coeffs.keys())
-    lower, upper = int(lower), int(upper)
+    lower, upper = _integer(lower, "knapsack bound"), _integer(upper, "knapsack bound")
     if lower > upper:
         raise ValueError("empty knapsack interval")
     order = {v: i for i, v in enumerate(c.variables)}

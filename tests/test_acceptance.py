@@ -32,7 +32,6 @@ from nnfopt import (CardinalitySpec, CompileConfig, WeightFunction,
                     project_solution, restrict_cardinality, reroot, top_k,
                     to_nnf_text, tu_counterexample_check, weight_edge_costs,
                     weights_from_profits)
-from nnfopt.circuit import FALSE
 from nnfopt.cnf import CnfVariable
 from nnfopt.hypergraph import Hypergraph, LiteralInstance
 

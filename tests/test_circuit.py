@@ -13,7 +13,7 @@ from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     from_nnf_text, model_count, normalize_for_extform, reroot,
                     smooth_binary_form, to_nnf_text)
 from nnfopt import NnfCircuit, optimize, weights_from_profits
-from nnfopt.circuit import AND, FALSE, LIT, OR, TRUE, check_normalized
+from nnfopt.circuit import AND, LIT, OR, check_normalized
 
 
 def rows_of(c):
@@ -173,7 +173,7 @@ class TestCheckNormalized:
         ([X, NX, (OR, (0,), None, 0)], 2, "every node must lie on a path to the output"),
         ([X, X, Y, NY, (AND, (0, 2), 0, 0), (AND, (1, 3), 0, 0), (OR, (4, 5), "y", 0)], 6,
          "each literal may label at most one input"),
-        ([(FALSE, (), 0, 0), X, (OR, (0, 1), None, 0)], 2, "false nodes must be folded away"),
+        ([(OR, (), None, 0), X, (OR, (0, 1), None, 0)], 2, "false nodes must be folded away"),
         ([X, (OR, (0,), None, 0), (AND, (0, 1), 0, 0), (OR, (2,), None, 0)], 3,
          "circuit must be decomposable"),
         ([X, NX, Y, (AND, (1, 2), 0, 0), (OR, (0, 3), "x", 0)], 4, "circuit must be smooth"),
@@ -281,8 +281,17 @@ class TestNnfText:
 
     def test_constants_parse(self):
         c = from_nnf_text("nnf 2 0 1\nA 0\nO 0 0\n")
-        assert c.columns[0] == ["T", "F"]
+        assert c.columns[0] == [AND, OR]
         assert to_nnf_text(c) == "nnf 2 0 1\nA 0\nO 0 0\n"
+
+    def test_marked_empty_or_parses_false(self):
+        # an empty Or is false whatever its marker, and keeps the marker
+        text = "nnf 1 0 1\nO 1 0\n"
+        c = from_nnf_text(text)
+        assert c.columns == ([OR], [()], [1], [0])
+        assert not evaluate(c, {1: 0}) and not evaluate(c, {1: 1})
+        assert model_count(c) == 0
+        assert to_nnf_text(c) == text
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
@@ -313,7 +322,7 @@ class TestNnfText:
         text = ("nnf 9 7 1\nL 1\nL 1\nA 0\nA 0\nO 0 0\nO 0 0\n"
                 "A 2 0 2\nA 2 1 3\nO 0 3 6 7 5\n")
         c = from_nnf_text(text)
-        assert c.columns[0] == [LIT, LIT, TRUE, TRUE, FALSE, FALSE, AND, AND, OR]
+        assert c.columns[0] == [LIT, LIT, AND, AND, OR, OR, AND, AND, OR]
         assert c.record_kids[6:] == ((0, 2), (1, 3), (6, 7, 5))
         assert to_nnf_text(c) == text
 

@@ -411,6 +411,15 @@ class TestDegenerateInstances:
         code, out2 = run(capsys, "oracle", "-", stdin="7\n")
         assert code == 0 and out == out2
 
+    @pytest.mark.parametrize("text", [
+        "".join(f"1e18 v{i}\n" for i in range(1, 11)), "1e19 v1\n",
+    ], ids=["sum-past-int64", "profit-past-int64"])
+    def test_oracle_exact_past_int64(self, capsys, text):
+        code, out = run(capsys, "solve", "-", stdin=text)
+        assert code == 0 and out.splitlines()[0] == "optimum 10000000000000000000"
+        code, oracle_out = run(capsys, "oracle", "-", stdin=text)
+        assert code == 0 and oracle_out == out
+
     def test_offset_only_labs(self, capsys):
         code, text = run(capsys, "gen-labs", "2", "1")
         assert code == 0

@@ -13,8 +13,9 @@ from nnfopt import (CnfFormula, CompileConfig, Hypergraph, beta_elimination_orde
                     encode_basic, encode_instance, encode_ordered,
                     enumerate_models, formula_incidence_graph, gen_labs,
                     incidence_graph, lift_decomposition, minfill_decomposition,
-                    model_count, order_from_beta, order_from_decomposition,
-                    parse_instance)
+                    model_count, normalize_for_extform, order_from_beta,
+                    order_from_decomposition, parse_instance, to_nnf_text)
+from nnfopt.circuit import AND, OR, check_normalized
 from nnfopt.cnf import CnfVariable
 from nnfopt.hypergraph import TreeDecomposition, vertex_node
 
@@ -44,6 +45,21 @@ class TestCompileSoundness:
         c = compile_formula(f)
         assert model_count(c) == 0
         assert model_rows(c) == set()
+
+    def test_unsat_formula_is_one_empty_or(self):
+        f = CnfFormula([x(1)], [[(x(1), True)], [(x(1), False)]])
+        c = compile_formula(f)
+        assert c.columns == ([OR], [()], [None], [0])
+        assert to_nnf_text(c) == "nnf 1 0 1\nO 0 0\n"
+        # its normal form is the same single node, and passes the check
+        n = normalize_for_extform(c)
+        check_normalized(n)
+        assert to_nnf_text(n) == "nnf 1 0 1\nO 0 0\n"
+
+    def test_empty_formula_is_one_empty_and(self):
+        c = compile_formula(CnfFormula([x(1), x(2)], []))
+        assert c.columns == ([AND], [()], [0], [0])
+        assert to_nnf_text(c) == "nnf 1 0 2\nA 0\n"
 
     def test_empty_formula_all_models(self):
         f = CnfFormula([x(1), x(2)], [])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from corpus import WORKED_TEXT, worked_example, poly_points_sorted, random_instance
 from nnfopt import (GuardViolation, Hypergraph, ParseError, brute_force,
-                    format_instance, gen_labs, labs_energy, parse_instance)
+                    compile_instance, format_instance, gen_labs, labs_energy,
+                    optimize, parse_instance, weights_from_profits)
 from nnfopt.instances import ParsedInstance
 
 
@@ -198,6 +199,25 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=r"counted variables not in universe: \[x99\]"):
             restrict_cardinality(compile_instance(inst),
                                  CardinalitySpec((CnfVariable("x", 99),), [0]))
+
+    @pytest.mark.parametrize("text, best", [
+        ("".join(f"1e18 v{i}\n" for i in range(1, 11)), 10 ** 19),
+        ("1e19 v1\n", 10 ** 19),
+    ], ids=["sum-past-int64", "profit-past-int64"])
+    def test_profits_past_int64_exact(self, text, best):
+        # scaled profits whose absolute sum reaches 2**63 are summed as
+        # Python ints, not wrapped around in int64
+        inst = parse_instance(text).instance
+        [(point, value)] = brute_force(inst, None, 1)
+        assert value == best == optimize(compile_instance(inst),
+                                         weights_from_profits(inst)).value
+        assert all(point.values())
+        assert [v for _, v in brute_force(inst, None, 3)][0] == best
+
+    def test_non_integral_sums_rejected(self):
+        # a truncated sum would admit the wrong bit counts
+        with pytest.raises(ValueError, match="sum must be an integer"):
+            brute_force(parse_instance("-1 v1\n-1 v2\n").instance, [Fraction(3, 2)], 1)
 
     def test_guard(self):
         h = Hypergraph(range(1, 26), [{1, 2}])

@@ -16,6 +16,28 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_imports():
+    # a module-level import that its module never names is dead weight;
+    # the package's __init__ imports to re-export, so it is exempt
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert SOURCES
+    assert found == []
+
+
 def test_imports_at_module_level():
     # a module's dependencies show in its header; an import inside a
     # function usually hides a cycle between modules

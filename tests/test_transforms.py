@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 from math import comb
 from fractions import Fraction
 
@@ -10,12 +11,15 @@ from corpus import (circuit_corpus, corpus_instance, worked_example,
                     random_instance, variable_sets)
 from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig,
                     WeightFunction, beta_elimination_order, brute_force,
-                    check_structure, compile_formula, compile_instance,
-                    counting_transform, encode_basic, encode_ordered,
-                    enumerate_models, evaluate, knapsack_transform, model_count,
-                    normalize_for_extform, optimize, parse_instance,
-                    project_solution, reroot, restrict_cardinality, to_nnf_text,
-                    top_k, weights_from_profits)
+                    build_system, check_structure, compile_formula,
+                    compile_instance, counting_transform, dual_optimize,
+                    encode_basic, encode_ordered, enumerate_certificates,
+                    enumerate_models, evaluate, from_nnf_text, knapsack_transform,
+                    model_count, normalize_for_extform, optimize, parse_instance,
+                    project_solution, reroot, restrict_cardinality,
+                    smooth_binary_form, to_nnf_text, top_k, weight_edge_costs,
+                    weights_from_profits)
+from nnfopt.circuit import check_normalized
 from nnfopt.cnf import CnfVariable
 
 
@@ -110,6 +114,11 @@ class TestRestrictCardinality:
         with pytest.raises(ValueError, match="out of range"):
             CardinalitySpec((x(1),), {2})
 
+    def test_non_integral_sums_rejected(self):
+        # truncating 3/2 to 1 would admit sum 1
+        with pytest.raises(ValueError, match="sum must be an integer"):
+            CardinalitySpec((x(1), x(2)), [Fraction(3, 2)])
+
     def test_repeated_counted_variables_rejected(self):
         # the oracle would count a repeated vertex twice and the transform
         # once, so neither may see such a spec
@@ -175,6 +184,16 @@ class TestKnapsackTransform:
                 if lo <= total <= hi:
                     expect.add(row)
             assert model_rows(k) == expect
+
+    def test_non_integral_bounds_rejected(self):
+        # over -1 v1, -1 v2 only the sum 1 lies in [1/2, 19/10], so the
+        # optimum is -1; truncating the bounds to [0, 1] gave 0
+        c = compile_instance(parse_instance("-1 v1\n-1 v2\n").instance)
+        coeffs = {x(1): 1, x(2): 1}
+        with pytest.raises(ValueError, match="knapsack bound must be an integer"):
+            knapsack_transform(c, coeffs, Fraction(1, 2), Fraction(19, 10))
+        with pytest.raises(ValueError, match="knapsack bound must be an integer"):
+            knapsack_transform(c, coeffs, 1, 1.5)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError, match="interval"):
@@ -468,3 +487,65 @@ class TestConstantOutputs:
         counted, roots = counting_transform(self.constant((), False), ())
         assert to_nnf_text(counted) == "nnf 2 0 0\nO 0 0\nO 0 0\n"
         assert roots == (0,)
+
+    def test_evaluate_and_optimize(self):
+        got = []
+        for universe in ((), ("a",)):
+            for value in (True, False):
+                c = self.constant(universe, value)
+                opt = optimize(c, self.weights(universe))
+                got.append(([evaluate(c, dict(zip(universe, bits)))
+                             for bits in product((0, 1), repeat=len(universe))],
+                            opt.value, opt.witness))
+        assert got == [([True], 0, {}), ([False], NEG_INF, None),
+                       ([True, True], 2, {"a": 1}), ([False, False], NEG_INF, None)]
+
+    @staticmethod
+    def embedded():
+        """Empty gates inside circuits over (a, b), by their models.
+
+        Under an And: Or_a(And(a, true), And(-a, false)), models a = 1.
+        Under an Or: Or_a(And(a, Or#(false, b)), And(-a, Or#(true))),
+        models a = 1, b = 1 and a = 0.
+        """
+        b = CircuitBuilder(("a", "b"))
+        pa, na = b.literal("a", True), b.literal("a", False)
+        under_and = b.finish(b.add_or((b.add_and((pa, b.true())),
+                                       b.add_and((na, b.false()))), "a"))
+        b = CircuitBuilder(("a", "b"))
+        pa, na = b.literal("a", True), b.literal("a", False)
+        yes = b.add_and((pa, b.add_or((b.false(), b.literal("b", True)), ("#t",))))
+        no = b.add_and((na, b.add_or((b.true(),), ("#t",))))
+        under_or = b.finish(b.add_or((yes, no), "a"))
+        return [(under_and, {(1, 0), (1, 1)}), (under_or, {(1, 1), (0, 0), (0, 1)})]
+
+    def test_empty_gates_inside_circuits(self):
+        w = WeightFunction(("a", "b"), {("a", 1): 3, ("a", 0): 1, ("b", 1): -2,
+                                        ("b", 0): Fraction(1, 2)})
+        rng = random.Random(5)
+        for c, rows in self.embedded():
+            points = [dict(zip(c.variables, bits)) for bits in product((0, 1), repeat=2)]
+            assert {tuple(m.values()) for m in points if evaluate(c, m)} == rows
+            assert model_count(c) == len(rows)
+            assert model_rows(c) == rows
+            values = sorted((w.value_of(m) for m in points if tuple(m.values()) in rows),
+                            reverse=True)
+            opt = optimize(c, w)
+            assert opt.value == values[0] and w.value_of(opt.witness) == opt.value
+            assert evaluate(c, opt.witness)
+            best = top_k(c, w, 5)
+            assert [v for _, v in best] == values
+            assert {tuple(m.values()) for m, _ in best} == rows
+            normal = normalize_for_extform(c)
+            check_normalized(normal)
+            assert model_rows(normal) == rows
+            assert model_rows(smooth_binary_form(c)) == rows
+            assert len(enumerate_certificates(normal)) == len(rows)
+            assert dual_optimize(*weight_edge_costs(normal, w))[0] == opt.value
+            build_system(normal)
+            text = to_nnf_text(c)
+            again = from_nnf_text(text, c.variables)
+            assert to_nnf_text(again) == text
+            assert all(evaluate(again, m) == evaluate(c, m) for m in points)
+            for _ in range(5):
+                check_transforms(rng, c)
