@@ -4,11 +4,10 @@ Node kinds are LIT, AND and OR.  The constants are empty gates: true is
 an And with no children or literals, false an Or with no children, and
 each pass's And and Or rules give them their values.  Nodes are numbered
 in topological order (children before parents), so a single ascending
-pass implements every bottom-up computation.  Or nodes may carry a
-decision marker: either a variable whose value the children fix in
-opposite ways, or an opaque pseudo-variable tag (a tuple starting with a
-'#' string) recorded by circuit transformations whose children are
-model-disjoint by construction.
+pass implements every bottom-up computation.  An Or node's decision
+marker is the bit position of a variable whose value its children fix
+in opposite ways, SELECTOR for an Or whose children a transformation
+made model-disjoint by construction, or None.
 
 Circuits are stored only as columns over bitmasks, in which an And node
 may hold a literal block: its literal children as two masks (positive
@@ -34,6 +33,7 @@ from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 LIT, AND, OR = "L", "A", "O"
+SELECTOR = -1   # the marker of an Or whose determinism is trusted
 
 
 class CapExceeded(Exception):
@@ -45,11 +45,6 @@ class StructureReport:
     decomposable: bool
     deterministic: bool
     smooth: bool
-
-
-def is_pseudo_decision(marker) -> bool:
-    return isinstance(marker, tuple) and len(marker) >= 1 and (
-        isinstance(marker[0], str) and marker[0].startswith("#"))
 
 
 def mask_bits(mask: int):
@@ -68,7 +63,8 @@ class NnfCircuit:
     Variables are numbered by their position in bit_variables.  A
     literal node (LIT) has pos or neg set to its one bit; an And node's
     pos/neg masks are its literal block; an Or node keeps its decision
-    marker in pos.  True is an empty And, false an empty Or.
+    marker in pos (a bit position, SELECTOR or None), so the columns hold
+    only ints and None.  True is an empty And, false an empty Or.
 
     record_kids lists each node's children with every block expanded to
     its literal nodes, in universe order, ahead of the other kids.  Edge
@@ -179,6 +175,11 @@ class CircuitBuilder:
         return add_gate(self.columns, AND, tuple(children))
 
     def add_or(self, children: Iterable[int], decision=None) -> int:
+        """An Or node deciding a declared variable, or marked None or SELECTOR."""
+        if decision in self._bit:
+            decision = self._bit[decision]
+        elif decision is not None and decision != SELECTOR:
+            raise ValueError(f"decision on undeclared variable {decision}")
         return add_gate(self.columns, OR, tuple(children), decision)
 
     def finish(self, output: int) -> NnfCircuit:
@@ -240,8 +241,8 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     """Structural decomposability, determinism and smoothness.
 
     Determinism is judged through decision markers only: an Or node passes
-    with at most one child, with a pseudo-variable marker (trusted, the
-    transformations that write them keep children model-disjoint), or with
+    with at most one child, marked SELECTOR (trusted, the transformations
+    that write it keep children model-disjoint), or marked by the bit of
     a decision variable whose value each child provably fixes, pairwise
     differently.  A node fixes a variable on structural evidence only:
     literal leaves, the children of an And that mention it and agree, and
@@ -257,18 +258,10 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     if rep is not None:
         return rep
     kinds, kids, pos, neg = c.columns
-    bit = c.bit_index
-    # Or marker (by identity) -> its variable's bit (0 outside the universe),
-    # or None for no marker and for pseudo-variables
-    markers = {id(m): m for kind, m in zip(kinds, pos) if kind == OR}
-    dbit = {}
-    dmask = 0
-    for key, m in markers.items():
-        if m is None or is_pseudo_decision(m):
-            dbit[key] = None
-        else:
-            dbit[key] = 1 << bit[m] if m in bit else 0
-            dmask |= dbit[key]
+    # decision marker -> its variable's mask, one shift per distinct marker
+    markers = {m for kind, m in zip(kinds, pos) if kind == OR} - {None, SELECTOR}
+    dbit = {m: 1 << m for m in markers}
+    dmask = sum(dbit.values())
     refs = [0] * len(kinds)
     for ch in chain.from_iterable(kids):
         refs[ch] += 1
@@ -277,7 +270,6 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     f1: list = [0] * len(kinds)     # decision variables fixed to 1
     f0: list = [0] * len(kinds)     # decision variables fixed to 0
     decomposable = smooth = deterministic = True
-    marker = d = None                # the last Or marker seen, and its mask
     for nid, (kind, ks, a, b) in enumerate(zip(kinds, kids, pos, neg)):
         if kind != OR:
             m = a | b
@@ -311,11 +303,10 @@ def check_structure(c: NnfCircuit) -> StructureReport:
                 x1 &= f1[ch]
                 x0 &= f0[ch]
             if len(ks) > 1:
-                if a is not marker:
-                    marker, d = a, dbit[id(a)]
                 if a is None:
                     deterministic = False
-                elif d is not None:
+                elif a != SELECTOR:
+                    d = dbit[a]
                     if len(ks) != 2 or not (
                             (f0[ks[0]] & d and f1[ks[1]] & d)
                             or (f1[ks[0]] & d and f0[ks[1]] & d)):
@@ -545,7 +536,7 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     def gadget(i: int) -> int:
         got = gadgets.get(i)
         if got is None:
-            got = gadgets[i] = add_node(out, OR, (literal(1 << i, 0), literal(0, 1 << i)), bv[i])
+            got = gadgets[i] = add_node(out, OR, (literal(1 << i, 0), literal(0, 1 << i)), i)
         return got
 
     def pad(node, missing: int) -> int:     # node None stands for true
@@ -702,8 +693,8 @@ def to_nnf_text(c: NnfCircuit) -> str:
 
     Variables are numbered by their position in the universe.  True is
     written as an empty And, false as an empty Or, and a literal block as
-    And edges to its literal nodes.  Pseudo-variable decision markers
-    cannot be expressed and are written as 0.
+    And edges to its literal nodes.  SELECTOR cannot be expressed and is
+    written as 0, like no marker.
     """
     num = {v: i + 1 for i, v in enumerate(c.variables)}
     bv = c.bit_variables
@@ -714,8 +705,7 @@ def to_nnf_text(c: NnfCircuit) -> str:
             n = num[bv[(a | b).bit_length() - 1]]
             lines.append(f"L {n if a else -n}")
             continue
-        head = "A" if kind == AND else \
-            f"O {num[a] if a is not None and not is_pseudo_decision(a) else 0}"
+        head = "A" if kind == AND else f"O {num[bv[a]] if a is not None and a >= 0 else 0}"
         lines.append(" ".join([head, str(len(ks)), *map(str, ks)]))
     return "\n".join(lines) + "\n"
 
@@ -761,8 +751,7 @@ def from_nnf_text(text: str, variables: Optional[Sequence] = None) -> NnfCircuit
                 raise ValueError(f"bad Or line: {ln}")
             if not 0 <= args[0] <= nvars:
                 raise ValueError(f"decision variable {args[0]} out of range")
-            d = variables[args[0] - 1] if args[0] else None
-            add_gate(columns, OR, tuple(args[2:]), d)
+            add_gate(columns, OR, tuple(args[2:]), args[0] - 1 if args[0] else None)
         else:
             raise ValueError(f"unknown node tag {tag}")
     if len(columns[0]) != ncount:

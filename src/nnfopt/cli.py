@@ -33,7 +33,7 @@ def _x_variables(inst: LiteralInstance) -> tuple[CnfVariable, ...]:
 def _card_sums(text: Optional[str], parsed: ParsedInstance) -> Optional[frozenset]:
     """The sums of --card-set/--set, else the file's #card.  Like #card,
     each sum must lie in 0..#vertices."""
-    if not text:
+    if text is None:
         return parsed.card_sums
     try:
         sums = frozenset(int(tok) for tok in text.split(","))

@@ -1,10 +1,10 @@
 """Compilation of CNF formulas into decision-DNNF circuits.
 
 Exhaustive search with unit propagation, connected-component splitting
-and component caching.  Branches become Or nodes carrying their decision
-variable, component splits become decomposable And nodes, and the
-literals implied at a search node become the literal block of an And
-node, so the output is deterministic and decomposable by construction.
+and component caching.  Branches become Or nodes marked by their decision
+bit, component splits become decomposable And nodes, and the literals
+implied at a search node become the literal block of an And node, so
+the output is deterministic and decomposable by construction.
 
 The search state is a pair of bitmasks (variables set to 1, set to 0)
 over the variables in branch order, so the next decision is the lowest
@@ -196,6 +196,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     lit_ids: dict = {}
     unmade = [everything, everything]   # literals without a node: negative, positive
     number = [f.variable_number(v) for v in base]
+    bits = list(range(n))   # Or markers share these ints rather than one each
     budget = cfg.cache_budget
     cache: dict = {}
     overflow = False
@@ -504,7 +505,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 else:
                     kinds.append(OR)
                     kids.append((no, yes))
-                    pos.append(base[d])
+                    pos.append(bits[d])
                     neg.append(0)
                     nid = len(kinds) - 1
                 if len(cache) < budget:

@@ -192,14 +192,15 @@ class TreeDecomposition:
         """Raise ValueError unless this is a valid decomposition of graph."""
         if not self._is_tree():
             raise ValueError("bag graph is not a tree")
-        covered = set()
-        for s in self.bags.values():
-            covered |= s
-        missing = set(graph.nodes) - covered
+        holders: dict = {}      # node -> ids of the bags that hold it
+        for a, s in self.bags.items():
+            for v in s:
+                holders.setdefault(v, set()).add(a)
+        missing = set(graph.nodes) - holders.keys()
         if missing:
             raise ValueError(f"nodes never covered: {sorted(missing)[:5]}")
         for u, v in graph.edges():
-            if not any(u in s and v in s for s in self.bags.values()):
+            if holders[u].isdisjoint(holders[v]):
                 raise ValueError(f"edge ({u}, {v}) not covered by any bag")
         broken = self.disconnected()
         for v in graph.nodes:

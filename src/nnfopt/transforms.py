@@ -12,8 +12,7 @@ literal block stays whole: it shifts the values of its node by a
 constant.  And nodes turn into right-nested convolutions of their
 children's copies, with a selector Or per value when several pairs of
 partial sums reach it; these selectors are deterministic because their
-children pin distinct partial sums, which is recorded as a
-pseudo-variable decision marker.
+children pin distinct partial sums, so they are marked SELECTOR.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .circuit import (AND, LIT, OR, NnfCircuit, add_node,
+from .circuit import (AND, LIT, OR, SELECTOR, NnfCircuit, add_node,
                       check_structure, fold_constants, mask_bits, smooth_fold)
 
 
@@ -59,7 +58,7 @@ def _require_transformable(c: NnfCircuit, counted) -> None:
         raise ValueError("transform needs a decomposable, deterministic circuit")
 
 
-def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
+def _indexed_copies(c: NnfCircuit, coef: Mapping):
     """Copy each node of c once per contribution value, in columns.
 
     coef maps a variable to what setting it to 1 contributes; setting it
@@ -73,19 +72,18 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
     is a right-nested chain over its variables in universe order
     (memoized per mask): a variable with a contribution gives its two
     literals at two values, any other variable Or(positive, negative)
-    marked by itself.  Where several pairs of partial sums reach one
-    value, a selector Or marked by marker holds them in ascending (left,
-    right) order.  Ties in optimize thus see the children and
-    alternatives in the order of smooth_binary_form(c).  Every literal
-    node of c is copied first, so record_kids can expand blocks.
+    marked by its bit.  Where several pairs of partial sums reach one
+    value, an Or marked SELECTOR holds them in ascending (left, right)
+    order.  Ties in optimize thus see the children and alternatives in
+    the order of smooth_binary_form(c).  Every literal node of c is
+    copied first, so record_kids can expand blocks.
 
     Returns (columns, table, size): the columns written so far, the
     output's table (value -> node id, ascending) padded to the whole
     universe, and the size the copy is bounded by: c's node and edge
     count plus |missing| + 2 for each padding applied.
     """
-    bv = c.bit_variables
-    n = len(bv)
+    n = len(c.bit_variables)
     bit = c.bit_index
     val = [0] * n
     support = 0
@@ -117,7 +115,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
         oneg.extend([0] * k)
         if len(t1) == 1 or len(t2) == 1:    # sums distinct and ascending
             return dict(zip(sums, range(start, start + k)))
-        return selectors(zip(sums, range(start, start + k)), marker)
+        return selectors(zip(sums, range(start, start + k)), SELECTOR)
 
     lits: dict = {}     # (pos, neg) -> copied literal node
 
@@ -137,7 +135,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping, marker):
             one, zero = literal(1 << i, 0), literal(0, 1 << i)
             cv = val[i]
             if cv == 0:
-                got = {0: add_node(out, OR, (one, zero), bv[i])}
+                got = {0: add_node(out, OR, (one, zero), i)}
             else:
                 got = {0: zero, cv: one} if cv > 0 else {cv: one, 0: zero}
             gadgets[i] = got
@@ -193,10 +191,7 @@ def _finish(c: NnfCircuit, columns: tuple, output: int, size: int, p: int) -> Nn
 
 def _counted_copies(c: NnfCircuit, counted: tuple):
     _require_transformable(c, counted)
-    order = {v: i for i, v in enumerate(c.variables)}
-    marker = ("#sum", tuple(sorted(counted, key=order.__getitem__)))
-    columns, table, size = _indexed_copies(c, dict.fromkeys(counted, 1), marker)
-    return columns, table, size, marker
+    return _indexed_copies(c, dict.fromkeys(counted, 1))
 
 
 def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tuple]:
@@ -208,7 +203,7 @@ def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tu
     model set equals c's.
     """
     counted = tuple(counted)
-    columns, table, size, marker = _counted_copies(c, counted)
+    columns, table, size = _counted_copies(c, counted)
     p = len(counted)
     false = None
     roots = []
@@ -216,7 +211,7 @@ def counting_transform(c: NnfCircuit, counted: Iterable) -> tuple[NnfCircuit, tu
         if i not in table and false is None:
             false = add_node(columns, OR, (), None)
         roots.append(table.get(i, false))
-    output = add_node(columns, OR, tuple(table.values()), marker)
+    output = add_node(columns, OR, tuple(table.values()), SELECTOR)
     return _finish(c, columns, output, size, p), tuple(roots)
 
 
@@ -225,9 +220,9 @@ def restrict_cardinality(c: NnfCircuit, spec: CardinalitySpec) -> NnfCircuit:
 
     An empty admissible set yields a circuit with no models.
     """
-    columns, table, size, marker = _counted_copies(c, spec.variables)
+    columns, table, size = _counted_copies(c, spec.variables)
     output = add_node(columns, OR, tuple(table[s] for s in sorted(spec.sums)
-                                        if s in table), marker)
+                                        if s in table), SELECTOR)
     return _finish(c, columns, output, size, len(spec.variables))
 
 
@@ -244,10 +239,7 @@ def knapsack_transform(c: NnfCircuit, coeffs: Mapping, lower: int, upper: int) -
     lower, upper = _integer(lower, "knapsack bound"), _integer(upper, "knapsack bound")
     if lower > upper:
         raise ValueError("empty knapsack interval")
-    order = {v: i for i, v in enumerate(c.variables)}
-    marker = ("#wsum", tuple(sorted(((v, cv) for v, cv in coeffs.items()),
-                                    key=lambda t: order[t[0]])))
-    columns, table, size = _indexed_copies(c, coeffs, marker)
+    columns, table, size = _indexed_copies(c, coeffs)
     output = add_node(columns, OR, tuple(x for s, x in table.items()
-                                        if lower <= s <= upper), marker)
+                                        if lower <= s <= upper), SELECTOR)
     return _finish(c, columns, output, size, sum(map(abs, coeffs.values())))

@@ -25,13 +25,14 @@ from nnfopt import (CardinalitySpec, CompileConfig, WeightFunction,
                     compile_instance, counting_transform, cycle_decomposition,
                     dual_optimize,
                     encode_basic, encode_ordered, enumerate_certificates,
-                    enumerate_models, formula_hypergraph, gen_labs,
+                    enumerate_models, formula_hypergraph, from_nnf_text, gen_labs,
                     incidence_graph, is_beta_acyclic, knapsack_transform,
                     lift_decomposition, minfill_decomposition, model_count,
                     normalize_for_extform, optimize, parse_instance,
                     project_solution, restrict_cardinality, reroot, top_k,
                     to_nnf_text, tu_counterexample_check, weight_edge_costs,
                     weights_from_profits)
+from nnfopt.circuit import OR, SELECTOR
 from nnfopt.cnf import CnfVariable
 from nnfopt.hypergraph import Hypergraph, LiteralInstance
 
@@ -79,6 +80,27 @@ class TestCriterion2EncodingCardinality:
         for inst, circuit, _opt in corpus:
             assert model_count(circuit) == 2 ** len(inst.hypergraph.vertices)
         print(PASS.format(2, "compiled encodings have exactly 2^|V| models"))
+
+
+class TestOrMarkers:
+    def test_markers_are_bit_positions_on_500(self, solved_corpus):
+        # every Or of every circuit a pass writes is marked by a bit
+        # position, by SELECTOR or not at all
+        corpus, _ = solved_corpus
+        rng = random.Random(15)
+        for inst, circuit, _opt in corpus:
+            x = xvars(inst)
+            coeffs = {v: rng.randint(-3, 3) for v in x}
+            sums = frozenset(rng.sample(range(len(x) + 1), 2))
+            derived = [circuit, normalize_for_extform(circuit),
+                       counting_transform(circuit, x)[0],
+                       restrict_cardinality(circuit, CardinalitySpec(x, sums)),
+                       knapsack_transform(circuit, coeffs, -1, 1),
+                       from_nnf_text(to_nnf_text(circuit))]
+            for c in derived:
+                allowed = {None, SELECTOR, *range(len(c.bit_variables))}
+                kinds, _, pos, _ = c.columns
+                assert all(a in allowed for kind, a in zip(kinds, pos) if kind == OR)
 
 
 class TestCriterion3WorkedExample:

@@ -13,7 +13,7 @@ from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     from_nnf_text, model_count, normalize_for_extform, reroot,
                     smooth_binary_form, to_nnf_text)
 from nnfopt import NnfCircuit, optimize, weights_from_profits
-from nnfopt.circuit import AND, LIT, OR, check_normalized
+from nnfopt.circuit import AND, LIT, OR, SELECTOR, check_normalized
 
 
 def rows_of(c):
@@ -78,6 +78,21 @@ class TestCheckStructure:
         c2 = b.add_and((b.literal("x", True), b.literal("y", False)))
         out = b.add_or((c1, c2), "x")
         assert not check_structure(b.finish(out)).deterministic
+
+    @pytest.mark.parametrize("marker, deterministic", [(SELECTOR, True), (None, False),
+                                                      ("x", False)])
+    def test_selector_is_trusted(self, marker, deterministic):
+        # x and y share the model x = y = 1: only SELECTOR's trust passes it
+        b = CircuitBuilder(("x", "y"))
+        out = b.add_or((b.literal("x", True), b.literal("y", True)), marker)
+        assert check_structure(b.finish(out)).deterministic == deterministic
+
+    def test_builder_marks_a_decision_by_its_bit(self):
+        b = CircuitBuilder(("x", "y"))
+        out = b.add_or((b.literal("y", True), b.literal("y", False)), "y")
+        assert b.finish(out).columns[2][out] == 1
+        with pytest.raises(ValueError, match="undeclared variable z"):
+            b.add_or((b.literal("y", True),), "z")
 
 
 class TestNormalizeForExtform:
@@ -171,12 +186,12 @@ class TestCheckNormalized:
         ([X], 0, "output must be an Or node"),
         ([X, (OR, (0,), None, 0), (AND, (1,), 0, 0)], 1, "output must have no outgoing edges"),
         ([X, NX, (OR, (0,), None, 0)], 2, "every node must lie on a path to the output"),
-        ([X, X, Y, NY, (AND, (0, 2), 0, 0), (AND, (1, 3), 0, 0), (OR, (4, 5), "y", 0)], 6,
+        ([X, X, Y, NY, (AND, (0, 2), 0, 0), (AND, (1, 3), 0, 0), (OR, (4, 5), 1, 0)], 6,
          "each literal may label at most one input"),
         ([(OR, (), None, 0), X, (OR, (0, 1), None, 0)], 2, "false nodes must be folded away"),
         ([X, (OR, (0,), None, 0), (AND, (0, 1), 0, 0), (OR, (2,), None, 0)], 3,
          "circuit must be decomposable"),
-        ([X, NX, Y, (AND, (1, 2), 0, 0), (OR, (0, 3), "x", 0)], 4, "circuit must be smooth"),
+        ([X, NX, Y, (AND, (1, 2), 0, 0), (OR, (0, 3), 0, 0)], 4, "circuit must be smooth"),
     ])
     def test_rule(self, nodes, output, message):
         columns = tuple(list(col) for col in zip(*nodes))
@@ -288,7 +303,7 @@ class TestNnfText:
         # an empty Or is false whatever its marker, and keeps the marker
         text = "nnf 1 0 1\nO 1 0\n"
         c = from_nnf_text(text)
-        assert c.columns == ([OR], [()], [1], [0])
+        assert c.columns == ([OR], [()], [0], [0])
         assert not evaluate(c, {1: 0}) and not evaluate(c, {1: 1})
         assert model_count(c) == 0
         assert to_nnf_text(c) == text
@@ -426,11 +441,11 @@ class TestLiteralBlocks:
     def test_decision_must_split_on_its_variable(self):
         # Or on a over two blocks that both set a: not deterministic
         both = self.block_circuit(([LIT, LIT, AND, AND, OR], [(), (), (), (), (2, 3)],
-                                   [1, 2, 3, 1, "a"], [0, 0, 0, 2, 0]), 4)
+                                   [1, 2, 3, 1, 0], [0, 0, 0, 2, 0]), 4)
         assert not check_structure(both).deterministic
         split = self.block_circuit(([LIT, LIT, LIT, AND, AND, OR],
                                     [(), (), (), (), (), (3, 4)],
-                                    [1, 2, 0, 3, 2, "a"], [0, 0, 1, 0, 1, 0]), 5)
+                                    [1, 2, 0, 3, 2, 0], [0, 0, 1, 0, 1, 0]), 5)
         rep = check_structure(split)
         assert rep.decomposable and rep.deterministic and rep.smooth
         assert evaluate(split, {"a": 0, "b": 1}) and not evaluate(split, {"a": 0, "b": 0})

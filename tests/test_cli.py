@@ -353,6 +353,10 @@ class TestFlagValues:
         (["solve", "--knapsack", "5:1:1,1,1,1,1,1"], "empty knapsack interval 5:1"),
         (["solve", "--card-set", "2", "--knapsack", "3:2:1,1,1,1,1,1"],
          "empty knapsack interval 3:2"),
+        (["card", "--set", ""], "bad sum set ''"),
+        (["solve", "--card-set", ""], "bad sum set ''"),
+        (["topk", "--k", "2", "--card-set", ""], "bad sum set ''"),
+        (["oracle", "--card-set", ""], "bad sum set ''"),
     ])
     def test_bad_value_is_one_line_before_compiling(self, capsys, monkeypatch, example,
                                                     argv, message):

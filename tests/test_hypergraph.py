@@ -396,6 +396,18 @@ class TestTreeDecompositionValidation:
         with pytest.raises(ValueError, match="not covered"):
             td.validate(g)
 
+    def test_first_uncovered_edge_named(self):
+        # edges are checked in graph.edges() order: (1, 3) before (2, 3)
+        g = Graph()
+        for u, v in ((2, 3), (1, 2), (1, 3)):
+            g.add_edge(u, v)
+        td = TreeDecomposition({0: [1, 2], 1: [3]}, [(0, 1)])
+        with pytest.raises(ValueError, match=r"^edge \(1, 3\) not covered by any bag$"):
+            td.validate(g)
+        g.add_edge(3, 4)
+        with pytest.raises(ValueError, match=r"nodes never covered: \[4\]"):
+            td.validate(g)
+
     def test_disconnected_occurrences(self):
         g = Graph()
         g.add_edge(1, 2)

@@ -19,7 +19,7 @@ from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig,
                     project_solution, reroot, restrict_cardinality,
                     smooth_binary_form, to_nnf_text, top_k, weight_edge_costs,
                     weights_from_profits)
-from nnfopt.circuit import check_normalized
+from nnfopt.circuit import SELECTOR, check_normalized
 from nnfopt.cnf import CnfVariable
 
 
@@ -340,7 +340,7 @@ class TestColumnarCopyOracle:
         dead = b.add_and((b.literal(x(3), True), b.false()))
         folded = b.finish(b.add_or((b.add_and((b.literal(x(1), True),
                                                 b.add_or((b.true(),), None))),
-                                     dead), ("#trusted",)))
+                                     dead), SELECTOR))
         counted, roots = counting_transform(folded, universe)
         assert [model_count(reroot(counted, r)) for r in roots] == [0, 1, 2, 1]
         rng = random.Random(71)
@@ -514,8 +514,8 @@ class TestConstantOutputs:
                                        b.add_and((na, b.false()))), "a"))
         b = CircuitBuilder(("a", "b"))
         pa, na = b.literal("a", True), b.literal("a", False)
-        yes = b.add_and((pa, b.add_or((b.false(), b.literal("b", True)), ("#t",))))
-        no = b.add_and((na, b.add_or((b.true(),), ("#t",))))
+        yes = b.add_and((pa, b.add_or((b.false(), b.literal("b", True)), SELECTOR)))
+        no = b.add_and((na, b.add_or((b.true(),), SELECTOR)))
         under_or = b.finish(b.add_or((yes, no), "a"))
         return [(under_and, {(1, 0), (1, 1)}), (under_or, {(1, 1), (0, 0), (0, 1)})]
 
