@@ -247,7 +247,8 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     differently.  A node fixes a variable on structural evidence only:
     literal leaves, the children of an And that mention it and agree, and
     Or nodes whose children all fix it alike.  Semantic determinism of
-    arbitrary circuits is not attempted.
+    arbitrary circuits is not attempted.  Any other marker is a
+    ValueError.
 
     One pass over variable masks; fixed values are tracked as two masks
     over the decision variables, and a child's masks are dropped once its
@@ -260,6 +261,10 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     kinds, kids, pos, neg = c.columns
     # decision marker -> its variable's mask, one shift per distinct marker
     markers = {m for kind, m in zip(kinds, pos) if kind == OR} - {None, SELECTOR}
+    n = len(c.bit_variables)
+    bad = [m for m in markers if not (type(m) is int and 0 <= m < n)]
+    if bad:
+        raise ValueError(f"Or marker {bad[0]!r} is not a bit position of the {n} variables")
     dbit = {m: 1 << m for m in markers}
     dmask = sum(dbit.values())
     refs = [0] * len(kinds)

@@ -1,5 +1,10 @@
 """Command-line surface: end-to-end pipelines over polynomial files.
 
+solve, topk, card (solve with --card-set spelled --set) and extform
+build their circuit in one step, _circuit, under --card-set (else the
+file's #card) and --knapsack; a command without one of these flags
+leaves it unset.  compile emits the unconstrained encoding.
+
 Exit codes: 0 on success, 2 on parse errors and bad flag values, which
 are checked before compiling (argparse uses the same), 3 when a size
 guard refuses the run.  All output is deterministic byte for
@@ -14,7 +19,7 @@ import sys
 from math import lcm
 from typing import Optional
 
-from .circuit import normalize_for_extform, to_nnf_text
+from .circuit import NnfCircuit, normalize_for_extform, to_nnf_text
 from .cnf import CnfVariable
 from .compiler import CompileConfig, compile_formula, compile_instance, \
     encode_instance
@@ -25,9 +30,6 @@ from .instances import GuardViolation, ParseError, ParsedInstance, brute_force, 
 from .maxplus import NEG_INF, optimize, project_solution, top_k, \
     weights_from_profits
 from .transforms import CardinalitySpec, knapsack_transform, restrict_cardinality
-
-def _x_variables(inst: LiteralInstance) -> tuple[CnfVariable, ...]:
-    return tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
 
 
 def _card_sums(text: Optional[str], parsed: ParsedInstance) -> Optional[frozenset]:
@@ -46,13 +48,15 @@ def _card_sums(text: Optional[str], parsed: ParsedInstance) -> Optional[frozense
     return sums
 
 
-def _parse_knapsack(text: str, inst: LiteralInstance) -> tuple[int, int, dict]:
+def _parse_knapsack(text: str, inst: LiteralInstance) -> tuple[dict, int, int]:
+    """(coeffs, lower, upper) of L:U:c1,c2,..., in knapsack_transform's
+    argument order; an empty list gives no coefficients."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError("knapsack spec must look like L:U:c1,c2,...")
     try:
         lower, upper = int(parts[0]), int(parts[1])
-        coeffs = [int(tok) for tok in parts[2].split(",")]
+        coeffs = [int(tok) for tok in parts[2].split(",")] if parts[2] else []
     except ValueError as exc:
         raise ParseError(f"bad knapsack spec {text!r}") from exc
     if lower > upper:
@@ -60,7 +64,22 @@ def _parse_knapsack(text: str, inst: LiteralInstance) -> tuple[int, int, dict]:
     verts = inst.hypergraph.vertices
     if len(coeffs) != len(verts):
         raise ParseError(f"knapsack needs {len(verts)} coefficients, got {len(coeffs)}")
-    return lower, upper, {CnfVariable("x", v): c for v, c in zip(verts, coeffs)}
+    return {CnfVariable("x", v): c for v, c in zip(verts, coeffs)}, lower, upper
+
+
+def _circuit(args, parsed: ParsedInstance) -> NnfCircuit:
+    """The compiled circuit restricted to the sum set and the knapsack;
+    both flag values are checked before compiling."""
+    inst = parsed.instance
+    sums = _card_sums(args.card_set, parsed)
+    knapsack = _parse_knapsack(args.knapsack, inst) if args.knapsack else None
+    circuit = compile_instance(inst, args.encoding)
+    if sums is not None:
+        x = tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
+        circuit = restrict_cardinality(circuit, CardinalitySpec(x, sums))
+    if knapsack is not None:
+        circuit = knapsack_transform(circuit, *knapsack)
+    return circuit
 
 
 def _read_text(path: str) -> str:
@@ -82,18 +101,17 @@ def _print_optimum(parsed: ParsedInstance, value, point: Optional[dict]) -> None
     print(f"point {_point_text(point)}")
 
 
+def _print_ranked(parsed: ParsedInstance, ranked: list) -> None:
+    for point, value in ranked:
+        print(f"value {parsed.report_value(value)} point {_point_text(point)}")
+    if not ranked:
+        print("infeasible")
+
+
 def _cmd_solve(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
-    sums = _card_sums(args.card_set, parsed)
-    knapsack = _parse_knapsack(args.knapsack, inst) if args.knapsack else None
-    circuit = compile_instance(inst, args.encoding)
-    if sums is not None:
-        circuit = restrict_cardinality(circuit, CardinalitySpec(_x_variables(inst), sums))
-    if knapsack is not None:
-        lower, upper, coeffs = knapsack
-        circuit = knapsack_transform(circuit, coeffs, lower, upper)
-    opt = optimize(circuit, weights_from_profits(inst))
+    opt = optimize(_circuit(args, parsed), weights_from_profits(inst))
     point = project_solution(opt.witness, inst) if opt.witness is not None else None
     _print_optimum(parsed, opt.value, point)
     return 0
@@ -102,23 +120,9 @@ def _cmd_solve(args) -> int:
 def _cmd_topk(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     inst = parsed.instance
-    sums = _card_sums(args.card_set, parsed)
-    circuit = compile_instance(inst, args.encoding)
-    if sums is not None:
-        circuit = restrict_cardinality(circuit, CardinalitySpec(_x_variables(inst), sums))
-    best = top_k(circuit, weights_from_profits(inst), args.k)
-    for assignment, value in best:
-        point = project_solution(assignment, inst)
-        print(f"value {parsed.report_value(value)} point {_point_text(point)}")
-    if not best:
-        print("infeasible")
+    best = top_k(_circuit(args, parsed), weights_from_profits(inst), args.k)
+    _print_ranked(parsed, [(project_solution(a, inst), value) for a, value in best])
     return 0
-
-
-def _cmd_card(args) -> int:
-    args.card_set = args.set
-    args.knapsack = None
-    return _cmd_solve(args)
 
 
 def _cmd_compile(args) -> int:
@@ -142,8 +146,7 @@ def _cmd_extform(args) -> int:
             if decimal_places(p) is None:
                 raise ParseError(f"profit {p} has no exact decimal form; "
                                  "pass --scale-objective to clear denominators")
-    circuit = normalize_for_extform(compile_instance(inst, args.encoding))
-    system = build_system(circuit, include_x=True)
+    system = build_system(normalize_for_extform(_circuit(args, parsed)), include_x=True)
     objective = {}
     factor = 1
     if args.scale_objective and inst.profit:
@@ -160,15 +163,11 @@ def _cmd_oracle(args) -> int:
     parsed = parse_instance(_read_text(args.file))
     sums = _card_sums(args.card_set, parsed)
     best = brute_force(parsed.instance, sums, k=args.k)
-    if not best:
-        print("infeasible")
-        return 0
-    if args.k == 1:
+    if args.k == 1 and best:
         point, value = best[0]
         _print_optimum(parsed, value, point)
     else:
-        for point, value in best:
-            print(f"value {parsed.report_value(value)} point {_point_text(point)}")
+        _print_ranked(parsed, best)
     return 0
 
 
@@ -184,54 +183,46 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_instance_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", nargs="?", default="-",
-                   help="polynomial file, or - for stdin (default)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nnfopt",
         description="maximize multilinear binary polynomials via circuit compilation")
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("file", nargs="?", default="-",
+                        help="polynomial file, or - for stdin (default)")
+    encoded = argparse.ArgumentParser(add_help=False, parents=[source])
+    encoded.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
 
-    p = sub.add_parser("solve", help="compile and optimize an instance")
-    _add_instance_arg(p)
-    p.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
+    p = sub.add_parser("solve", parents=[encoded], help="compile and optimize an instance")
     p.add_argument("--card-set", metavar="S", help="admissible bit counts, e.g. 0,2,4")
     p.add_argument("--knapsack", metavar="L:U:COEFFS",
                    help="integer knapsack constraint over all vertices")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("topk", help="k best solutions")
-    _add_instance_arg(p)
+    p = sub.add_parser("topk", parents=[encoded], help="k best solutions")
     p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
     p.add_argument("--card-set", metavar="S")
-    p.set_defaults(func=_cmd_topk)
+    p.set_defaults(func=_cmd_topk, knapsack=None)
 
-    p = sub.add_parser("card", help="optimize under a cardinality constraint")
-    _add_instance_arg(p)
-    p.add_argument("--set", required=True, metavar="S", help="admissible bit counts")
-    p.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
-    p.set_defaults(func=_cmd_card)
+    p = sub.add_parser("card", parents=[encoded],
+                       help="optimize under a cardinality constraint")
+    p.add_argument("--set", dest="card_set", required=True, metavar="S",
+                   help="admissible bit counts")
+    p.set_defaults(func=_cmd_solve, knapsack=None)
 
-    p = sub.add_parser("compile", help="emit the CNF encoding or compiled circuit")
-    _add_instance_arg(p)
-    p.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
+    p = sub.add_parser("compile", parents=[encoded],
+                       help="emit the CNF encoding or compiled circuit")
     p.add_argument("--emit-cnf", action="store_true")
     p.add_argument("--emit-nnf", action="store_true")
     p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("extform", help="emit the extended LP formulation")
-    _add_instance_arg(p)
-    p.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
+    p = sub.add_parser("extform", parents=[encoded], help="emit the extended LP formulation")
     p.add_argument("--scale-objective", action="store_true",
                    help="clear fractional profits by a common integer factor")
-    p.set_defaults(func=_cmd_extform)
+    p.set_defaults(func=_cmd_extform, card_set=None, knapsack=None)
 
-    p = sub.add_parser("oracle", help="brute-force reference answer")
-    _add_instance_arg(p)
+    p = sub.add_parser("oracle", parents=[source], help="brute-force reference answer")
     p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--card-set", metavar="S")
     p.set_defaults(func=_cmd_oracle)
@@ -248,12 +239,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, GuardViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, GuardViolation) else 2
 
 
 if __name__ == "__main__":

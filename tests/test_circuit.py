@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     smooth_binary_form, to_nnf_text)
 from nnfopt import NnfCircuit, optimize, weights_from_profits
 from nnfopt.circuit import AND, LIT, OR, SELECTOR, check_normalized
+from nnfopt.maxplus import WeightFunction
 
 
 def rows_of(c):
@@ -86,6 +88,18 @@ class TestCheckStructure:
         b = CircuitBuilder(("x", "y"))
         out = b.add_or((b.literal("x", True), b.literal("y", True)), marker)
         assert check_structure(b.finish(out)).deterministic == deterministic
+
+    @pytest.mark.parametrize("marker", [5, -2])
+    def test_marker_outside_the_universe_refused(self, marker):
+        # the raw constructor takes any int marker; over two variables only
+        # bit positions 0 and 1 decide, and every pass refuses the rest
+        c = NnfCircuit(("x", "y"), ("x", "y"),
+                       ([LIT, LIT, OR], [(), (), (0, 1)], [1, 2, marker], [0, 0, 0]), 2)
+        message = f"Or marker {marker} is not a bit position of the 2 variables"
+        w = WeightFunction(c.variables, {})
+        for query in (check_structure, lambda c: optimize(c, w), model_count):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                query(c)
 
     def test_builder_marks_a_decision_by_its_bit(self):
         b = CircuitBuilder(("x", "y"))

@@ -1,13 +1,14 @@
 import hashlib
 import io
 import sys
+from fractions import Fraction
 
 import pytest
 
 from corpus import WORKED_TEXT
 from nnfopt import cli
 from nnfopt.cli import main
-from nnfopt import from_nnf_text
+from nnfopt import from_nnf_text, gen_labs, parse_instance
 
 
 WORKED_NNF = """\
@@ -241,6 +242,56 @@ class TestEmitNnfPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == EMIT_NNF_SHA256[name]
 
 
+def lp_text_maximum(text):
+    """The maximum of an LP that nnfopt extform writes, by HiGHS, or None
+    when it is infeasible.  Reads only that dialect: one objective line,
+    one row per line, and '>=' or 'free' bounds (default: >= 0)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    def terms(tokens):
+        out, sign, k = {}, 1, 1
+        for tok in tokens:
+            if tok in ("+", "-"):
+                sign = -1 if tok == "-" else 1
+            elif tok[0].isdigit():
+                k = Fraction(tok)
+            else:
+                out[tok], sign, k = sign * k, 1, 1
+        return out
+
+    section, objective, rows, bounds = None, {}, [], {}
+    for line in text.splitlines():
+        tokens = line.split()
+        if line.startswith("\\"):
+            continue
+        if tokens[0] in ("Maximize", "Subject", "Bounds", "End"):
+            section = tokens[0]
+        elif section == "Maximize":
+            objective = terms(tokens[1:])
+        elif section == "Subject":
+            rows.append((terms(tokens[1:-2]), tokens[-2], Fraction(tokens[-1])))
+        else:
+            bounds[tokens[0]] = (None, None) if tokens[1] == "free" \
+                else (float(Fraction(tokens[2])), None)
+    names = sorted({*objective, *bounds, *(v for r, _, _ in rows for v in r)})
+    index = {name: j for j, name in enumerate(names)}
+
+    def dense(coeffs, sign=1):
+        row = [0.0] * len(names)
+        for name, k in coeffs.items():
+            row[index[name]] = sign * float(k)
+        return row
+
+    eq = [(dense(r), float(b)) for r, rel, b in rows if rel == "="]
+    ge = [(dense(r, -1), -float(b)) for r, rel, b in rows if rel == ">="]
+    res = linprog(dense(objective, -1),
+                  A_ub=[r for r, _ in ge] or None, b_ub=[b for _, b in ge] or None,
+                  A_eq=[r for r, _ in eq] or None, b_eq=[b for _, b in eq] or None,
+                  bounds=[bounds.get(name, (0, None)) for name in names], method="highs")
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
+
+
 class TestExtform:
     def test_emit_lp(self, capsys, example):
         code, out = run(capsys, "extform", example)
@@ -262,6 +313,20 @@ class TestExtform:
                             stdin=FRACTIONAL_TEXT)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == EXTFORM_SHA256[name]
+
+    def test_card_directive_restricts_the_lp(self, capsys, example, tmp_path):
+        # extform writes the LP of the circuit that solve optimizes: under
+        # #card 2 its maximum is card --set 2's optimum, 4, not the free 9
+        p = tmp_path / "c.poly"
+        p.write_text("#card 2\n" + WORKED_TEXT)
+        code, lp = run(capsys, "extform", str(p))
+        assert code == 0
+        _, solved = run(capsys, "card", "--set", "2", example)
+        optimum = Fraction(solved.splitlines()[0].split()[1])
+        assert optimum == 4
+        assert lp_text_maximum(lp) == pytest.approx(float(optimum), abs=1e-7)
+        _, free_lp = run(capsys, "extform", example)
+        assert lp_text_maximum(free_lp) == pytest.approx(9, abs=1e-7)
 
     def test_fractional_objective_needs_scaling(self, capsys, tmp_path):
         p = tmp_path / "f.poly"
@@ -357,6 +422,8 @@ class TestFlagValues:
         (["solve", "--card-set", ""], "bad sum set ''"),
         (["topk", "--k", "2", "--card-set", ""], "bad sum set ''"),
         (["oracle", "--card-set", ""], "bad sum set ''"),
+        (["solve", "--knapsack", "1:2:"], "knapsack needs 6 coefficients, got 0"),
+        (["solve", "--knapsack", "0:0"], "knapsack spec must look like L:U:c1,c2,..."),
     ])
     def test_bad_value_is_one_line_before_compiling(self, capsys, monkeypatch, example,
                                                     argv, message):
@@ -415,6 +482,14 @@ class TestDegenerateInstances:
         code, out2 = run(capsys, "oracle", "-", stdin="7\n")
         assert code == 0 and out == out2
 
+    @pytest.mark.parametrize("spec, code, out", [
+        ("0:0:", 0, "optimum 5\npoint \n"), ("0:3:", 0, "optimum 5\npoint \n"),
+        ("1:2:", 0, "infeasible\n"), ("0:0", 2, ""),
+    ])
+    def test_knapsack_without_vertices(self, capsys, spec, code, out):
+        # no vertices, so the coefficient list is empty and every sum is 0
+        assert run(capsys, "solve", "--knapsack", spec, "-", stdin="5\n") == (code, out)
+
     @pytest.mark.parametrize("text", [
         "".join(f"1e18 v{i}\n" for i in range(1, 11)), "1e19 v1\n",
     ], ids=["sum-past-int64", "profit-past-int64"])
@@ -429,3 +504,70 @@ class TestDegenerateInstances:
         assert code == 0
         code, out = run(capsys, "solve", "-", stdin=text)
         assert code == 0 and out.splitlines()[0] == "optimum 1"
+
+
+# Inputs of the CLI byte pin below: every instance shape the CLI reads,
+# including complemented literals and an instance without vertices
+PIN_INPUTS = {
+    "worked": WORKED_TEXT,
+    "cyclic": CYCLIC_TEXT,
+    "fractional": FRACTIONAL_TEXT,
+    "complemented": "2 v1 ~v2\n-3 ~v1 v3\n4 ~v2 ~v3 v4\n1 v4\n#minimize\n",
+    "constant": "5\n",
+    "labs-8-3": gen_labs(8, 3),
+}
+
+
+def pin_matrix():
+    """(input name, argv) of every command the CLI byte pin runs on stdin.
+
+    Two families are left out because they have their own tests:
+    extform on files with #card, and empty knapsack coefficient lists."""
+    for name, text in PIN_INPUTS.items():
+        n = len(parse_instance(text).instance.hypergraph.vertices)
+        card = str(n // 2)
+        coeffs = ",".join(str(i % 4 - 1) for i in range(n))
+        for enc in ("auto", "basic", "ordered"):
+            e = ["--encoding", enc]
+            yield name, ["solve", *e]
+            yield name, ["topk", "--k", "5", *e]
+            yield name, ["card", "--set", card, *e]
+            yield name, ["topk", "--k", "3", "--card-set", card, *e]
+            yield name, ["extform", "--scale-objective", *e]
+            yield name, ["compile", "--emit-cnf", "--emit-nnf", *e]
+            if n:
+                yield name, ["solve", "--knapsack", f"1:{n}:{coeffs}", *e]
+                yield name, ["solve", "--card-set", card, "--knapsack", f"1:{n}:{coeffs}", *e]
+        if n:
+            yield name, ["solve", "--knapsack", f"{2 * n}:{3 * n}:{coeffs}"]
+        yield name, ["oracle"]
+        yield name, ["oracle", "--k", "3", "--card-set", card]
+        yield name, ["extform"]
+        yield name, ["card", "--set", str(n + 1)]
+        yield name, ["solve", "--knapsack", "0:0"]
+        yield name, ["solve", "--encoding", "frog"]
+
+
+# SHA-256 over (input, argv, exit code, stdout, stderr) of every command
+# of pin_matrix; refactors of the CLI must keep these bytes unchanged
+CLI_MATRIX_SHA256 = "b4bddb3661731bad8b236391121146d61e4389de8d92b188ad69b7679d3134cf"
+
+
+class TestCliBytesPinned:
+    def test_command_matrix_pinned(self, capsys):
+        digest = hashlib.sha256()
+        commands = 0
+        for name, argv in pin_matrix():
+            old = sys.stdin
+            sys.stdin = io.StringIO(PIN_INPUTS[name])
+            try:
+                code = main(argv + ["-"])
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                sys.stdin = old
+            captured = capsys.readouterr()
+            digest.update(repr((name, argv, code, captured.out, captured.err)).encode())
+            commands += 1
+        assert commands == 179
+        assert digest.hexdigest() == CLI_MATRIX_SHA256

@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import circuit_corpus, fig_ddnnf, worked_example
+from corpus import (circuit_corpus, corpus_instance, fig_ddnnf, multilinear_set,
+                    worked_example)
 from nnfopt import (CapExceeded, CircuitBuilder, LinearSystem, Row, build_system,
                     certificate_point, certificate_tree_cost, compile_formula,
                     compile_instance, dual_optimize, encode_basic,
                     enumerate_certificates, enumerate_models, from_nnf_text,
-                    gen_labs, normalize_for_extform, optimize, parse_instance,
-                    to_lp_text, tu_counterexample_check, validate_certificate,
+                    gen_labs, knapsack_transform, normalize_for_extform, optimize,
+                    parse_instance, restrict_cardinality, to_lp_text, tu_counterexample_check, validate_certificate,
                     weight_edge_costs, weights_from_profits)
-from nnfopt.cnf import CnfVariable
+from nnfopt.cnf import CnfVariable, instance_variables
 from nnfopt.extform import _determinant, non_tu_witness_circuit
 from nnfopt.maxplus import WeightFunction
+from nnfopt.transforms import CardinalitySpec
 
 
 def normalized_corpus(rng, count=5):
@@ -357,3 +359,67 @@ class TestLpExport:
         system = build_system(c, include_x=True)
         with pytest.raises(ValueError, match="decimal"):
             to_lp_text(system, {("x", "x"): Fraction(1, 3)})
+
+
+class TestConstrainedHull:
+    # The extended formulation of a constrained circuit describes the
+    # convex hull of the constrained multilinear set: for every objective
+    # over the projection columns, HiGHS's LP maximum over the flow system
+    # equals the best feasible point, the LP is infeasible exactly when no
+    # point is, and the integral dual reaches the same maximum.
+    def test_lp_maximum_is_the_constrained_set_maximum(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = random.Random(5)
+        instances = []
+        while len(instances) < 30:
+            inst = corpus_instance(rng)
+            if len(inst.hypergraph.vertices) <= 8:
+                instances.append(inst)
+        lps = feasible_lps = 0
+        for inst in instances:
+            verts = inst.hypergraph.vertices
+            n = len(verts)
+            x = tuple(CnfVariable("x", v) for v in verts)
+            sums = frozenset(rng.sample(range(n + 1), rng.randint(0, n + 1)))
+            coeffs = [rng.randint(-2, 3) for _ in verts]
+            lower = rng.randint(sum(k for k in coeffs if k < 0) - 2,
+                                sum(k for k in coeffs if k > 0) + 2)
+            upper = lower + rng.randint(0, 2)
+            circuit = compile_instance(inst)
+            forms = [
+                (circuit, lambda bits: True),
+                (restrict_cardinality(circuit, CardinalitySpec(x, sums)),
+                 lambda bits: sum(bits[:n]) in sums),
+                (knapsack_transform(circuit, dict(zip(x, coeffs)), lower, upper),
+                 lambda bits: lower <= sum(map(int.__mul__, coeffs, bits[:n])) <= upper),
+            ]
+            for t, feasible in forms:
+                norm = normalize_for_extform(t)
+                assert norm.variables == instance_variables(inst)
+                points = [p for p in multilinear_set(inst) if feasible(p)]
+                system = build_system(norm, include_x=True)
+                width = system.edge_count + len(system.variables)
+                a = sparse.csr_matrix((system.coef, system.col, system.start),
+                                      shape=(len(system.rhs), width))
+                lo, hi = system.nonneg
+                eq = [r for r in range(len(system.rhs)) if not lo <= r < hi]
+                for _ in range(10):
+                    obj = [rng.randint(-5, 5) for _ in system.variables]
+                    res = linprog([0] * system.edge_count + [-k for k in obj],
+                                  A_ub=-a[lo:hi], b_ub=[-b for b in system.rhs[lo:hi]],
+                                  A_eq=a[eq], b_eq=[system.rhs[r] for r in eq],
+                                  bounds=(None, None), method="highs")
+                    lps += 1
+                    if not points:
+                        assert res.status == 2, res.message
+                        continue
+                    feasible_lps += 1
+                    best = max(sum(map(int.__mul__, obj, p)) for p in points)
+                    assert res.status == 0, res.message
+                    assert -res.fun == pytest.approx(best, abs=1e-7)
+                    w = WeightFunction(norm.variables,
+                                       {(v, 1): k for v, k in zip(norm.variables, obj)})
+                    value, _ = dual_optimize(*weight_edge_costs(norm, w))
+                    assert type(value) is int and value == best
+        assert (lps, feasible_lps) == (900, 770)
