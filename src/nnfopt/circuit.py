@@ -237,6 +237,18 @@ def evaluate(c: NnfCircuit, assignment: Mapping) -> bool:
     return value[c.output]
 
 
+def _decision_markers(c: NnfCircuit) -> set:
+    """The Or markers other than None and SELECTOR; each must be a bit
+    position of c's variables, else ValueError."""
+    kinds, _, pos, _ = c.columns
+    markers = {m for kind, m in zip(kinds, pos) if kind == OR} - {None, SELECTOR}
+    n = len(c.bit_variables)
+    bad = [m for m in markers if not (type(m) is int and 0 <= m < n)]
+    if bad:
+        raise ValueError(f"Or marker {bad[0]!r} is not a bit position of the {n} variables")
+    return markers
+
+
 def check_structure(c: NnfCircuit) -> StructureReport:
     """Structural decomposability, determinism and smoothness.
 
@@ -260,12 +272,7 @@ def check_structure(c: NnfCircuit) -> StructureReport:
         return rep
     kinds, kids, pos, neg = c.columns
     # decision marker -> its variable's mask, one shift per distinct marker
-    markers = {m for kind, m in zip(kinds, pos) if kind == OR} - {None, SELECTOR}
-    n = len(c.bit_variables)
-    bad = [m for m in markers if not (type(m) is int and 0 <= m < n)]
-    if bad:
-        raise ValueError(f"Or marker {bad[0]!r} is not a bit position of the {n} variables")
-    dbit = {m: 1 << m for m in markers}
+    dbit = {m: 1 << m for m in _decision_markers(c)}
     dmask = sum(dbit.values())
     refs = [0] * len(kinds)
     for ch in chain.from_iterable(kids):
@@ -699,8 +706,10 @@ def to_nnf_text(c: NnfCircuit) -> str:
     Variables are numbered by their position in the universe.  True is
     written as an empty And, false as an empty Or, and a literal block as
     And edges to its literal nodes.  SELECTOR cannot be expressed and is
-    written as 0, like no marker.
+    written as 0, like no marker; any other marker outside the bit
+    positions is a ValueError, as in check_structure.
     """
+    _decision_markers(c)
     num = {v: i + 1 for i, v in enumerate(c.variables)}
     bv = c.bit_variables
     kinds, _, pos, neg = c.columns
@@ -710,7 +719,7 @@ def to_nnf_text(c: NnfCircuit) -> str:
             n = num[bv[(a | b).bit_length() - 1]]
             lines.append(f"L {n if a else -n}")
             continue
-        head = "A" if kind == AND else f"O {num[bv[a]] if a is not None and a >= 0 else 0}"
+        head = "A" if kind == AND else f"O {0 if a in (None, SELECTOR) else num[bv[a]]}"
         lines.append(" ".join([head, str(len(ks)), *map(str, ks)]))
     return "\n".join(lines) + "\n"
 

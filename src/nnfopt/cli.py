@@ -72,7 +72,7 @@ def _circuit(args, parsed: ParsedInstance) -> NnfCircuit:
     both flag values are checked before compiling."""
     inst = parsed.instance
     sums = _card_sums(args.card_set, parsed)
-    knapsack = _parse_knapsack(args.knapsack, inst) if args.knapsack else None
+    knapsack = None if args.knapsack is None else _parse_knapsack(args.knapsack, inst)
     circuit = compile_instance(inst, args.encoding)
     if sums is not None:
         x = tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[encoded], help="compile and optimize an instance")
     p.add_argument("--card-set", metavar="S", help="admissible bit counts, e.g. 0,2,4")
     p.add_argument("--knapsack", metavar="L:U:COEFFS",
-                   help="integer knapsack constraint over all vertices")
+                   help="integer knapsack constraint over all vertices; pass a "
+                        "negative lower bound as --knapsack=-3:...")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("topk", parents=[encoded], help="k best solutions")

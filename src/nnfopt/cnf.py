@@ -98,7 +98,6 @@ class CnfFormula:
         lines = [f"p cnf {len(self.variables)} {len(self.clauses)}"]
         for cl in self.clauses:
             nums = [self._varnum[v] if s else -self._varnum[v] for v, s in cl]
-            nums.sort(key=abs)
             lines.append(" ".join(str(n) for n in nums) + " 0")
         return "\n".join(lines) + "\n"
 

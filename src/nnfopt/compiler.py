@@ -15,14 +15,16 @@ the links -y | l_i of the basic encoding, and chained gates with the
 links -y | l_j | -l_{j+1} | ... | -l_k of the ordered encoding.  A failing
 input sets the outputs of all the plain gates it feeds to 0 in one mask
 operation; a chained gate's output falls to 0 once its last input that
-does not hold has failed; outputs whose inputs all hold are set to 1 once
+does not hold has failed; a gate decided 0 forces its last input that
+does not hold to fail; outputs whose inputs all hold are set to 1 once
 the free inputs of the component are known.  Every other clause is
-propagated through occurrence lists.  The residual clauses of a gate
-whose output is free depend only on which of its inputs are free, except
-for a chained gate with a failed input, which also keeps that input's
-link; so a component's residual clause set is determined by its variable
-set plus those links and its other residual clauses, and that pair is
-its cache key.
+propagated through occurrence lists, and the root reads all of them
+through the same rule, so its unit clauses seed the propagation.  The
+residual clauses of a gate whose output is free depend only on which of
+its inputs are free, except for a chained gate with a failed input,
+which also keeps that input's link; so a component's residual clause set
+is determined by its variable set plus those links and its other
+residual clauses, and that pair is its cache key.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     rank = {f.variable_number(v): i for i, v in enumerate(base)}
 
     def encode_clause(cl):
-        lits = [f.variable_number(var) if sign else -f.variable_number(var)
-                for var, sign in cl]
-        return tuple(sorted(lits, key=abs))
+        # a clause's literals are stored in variable-number order
+        return tuple(f.variable_number(var) if sign else -f.variable_number(var)
+                     for var, sign in cl)
 
     canonical = tuple(sorted({encode_clause(cl) for cl in f.clauses}))
 
@@ -188,6 +190,10 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 falsified_by_0[rank[lit]].append(ci)
             else:
                 falsified_by_1[rank[-lit]].append(ci)
+    # bit -> what setting it to 0 or to 1 touches: (gates it holds for,
+    # gates it fails, plain clauses it falsifies)
+    touch_0 = [(feeds_neg[b], feeds_pos[b], falsified_by_0[b]) for b in range(n)]
+    touch_1 = [(feeds_pos[b], feeds_neg[b], falsified_by_1[b]) for b in range(n)]
 
     kinds: list = []
     kids: list = []
@@ -238,36 +244,27 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
         return best
 
     def settle(v, val, comp_vars, zero_c, cls, state, pfree):
-        """Assert bit v = val on a component (v < 0: nothing) and split the rest.
+        """Assert bit v = val on a component (v < 0: the root) and split the rest.
 
-        state is (variables set to 1, set to 0, gates whose output is 0
-        while none of their inputs is false yet); pfree holds the variables
-        free when the component was split off.  Returns _FAIL on conflict,
-        the search node's circuit node when no component is left, and
-        otherwise what expand needs to compile the components.
+        The root reads every plain clause through the propagation loop's
+        clause rule, and a gate decided 0 enters its zero-gate rule.  state
+        is (variables set to 1, set to 0, gates whose output is 0 while none
+        of their inputs is false yet); pfree holds the variables free when
+        the component was split off.  Returns _FAIL on conflict, the search
+        node's circuit node when no component is left, and otherwise what
+        expand needs to compile the components.
         """
         a1, a0, zero = state
         start = len(kinds)
-        queue = []
         if v < 0:
-            # the root: unit clauses seed the propagation
-            for ci, cl in enumerate(plain):
-                if not cl:
-                    return _FAIL
-                if len(cl) == 1:
-                    p, q = plain_pos[ci], plain_neg[ci]
-                    if p & a0 or q & a1:
-                        return _FAIL
-                    if not (p & a1 or q & a0):
-                        a1 |= p
-                        a0 |= q
-                        queue.append(((p | q).bit_length() - 1, 1 if p else 0))
+            queue = [(0, 0, cls)]   # the root: every plain clause
         elif not is_gate[v]:
             if val:
                 a1 |= 1 << v
+                queue = [touch_1[v]]
             else:
                 a0 |= 1 << v
-            queue.append((v, val))
+                queue = [touch_0[v]]
         elif val:
             # output 1: every input holds
             if in_pos[v] & a0 or in_neg[v] & a1:
@@ -277,33 +274,21 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
             p, q = in_pos[v] & free, in_neg[v] & free
             a1 |= p
             a0 |= q
-            queue = [(i, 1) for i in mask_bits(p)] + [(i, 0) for i in mask_bits(q)]
-        elif in_pos[v] & a0 or in_neg[v] & a1:
-            a0 |= 1 << v        # output 0 and an input failed: nothing left
+            queue = [touch_1[i] for i in mask_bits(p)] + [touch_0[i] for i in mask_bits(q)]
         else:
             a0 |= 1 << v
-            free = ~(a1 | a0)
-            rest = (in_pos[v] | in_neg[v]) & free
-            if rest & (rest - 1):
-                zero |= 1 << v
-            elif in_pos[v] & rest:
-                a0 |= rest
-                queue.append((rest.bit_length() - 1, 0))
-            else:
-                a1 |= rest
-                queue.append((rest.bit_length() - 1, 1))
+            queue = []
+            if not (in_pos[v] & a0 or in_neg[v] & a1):
+                zero |= 1 << v      # output 0: the zero-gate rule takes it
+                queue = [(1 << v, 0, ())]
 
-        # unit propagation over the plain variables: an input that fails
-        # sets its gates' outputs to 0 here, and outputs whose inputs all
-        # hold are set to 1 below, once the free inputs are known
+        # unit propagation: an entry is what a literal set here touches, or
+        # the root's plain clauses, or a gate decided 0; outputs whose inputs
+        # all hold are set to 1 below, once the free inputs are known
         i = 0
         while i < len(queue):
-            u, uval = queue[i]
+            up, down, hit = queue[i]
             i += 1
-            if uval:
-                up, down, hit = feeds_pos[u], feeds_neg[u], falsified_by_1[u]
-            else:
-                up, down, hit = feeds_neg[u], feeds_pos[u], falsified_by_0[u]
             if down:
                 dead = down & basic_bits
                 if dead & a1:
@@ -330,10 +315,10 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                     if not rest & (rest - 1) and not rest & (a1 | a0):
                         if in_pos[g] & rest:
                             a0 |= rest
-                            queue.append((rest.bit_length() - 1, 0))
+                            queue.append(touch_0[rest.bit_length() - 1])
                         else:
                             a1 |= rest
-                            queue.append((rest.bit_length() - 1, 1))
+                            queue.append(touch_1[rest.bit_length() - 1])
             for ci in hit:
                 p, q = plain_pos[ci], plain_neg[ci]
                 if p & a1 or q & a0:
@@ -344,20 +329,17 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 if not free & (free - 1):
                     if free & p:
                         a1 |= free
-                        queue.append((free.bit_length() - 1, 1))
+                        queue.append(touch_1[free.bit_length() - 1])
                     else:
                         a0 |= free
-                        queue.append((free.bit_length() - 1, 0))
+                        queue.append(touch_0[free.bit_length() - 1])
         lits1, lits0 = a1 ^ state[0], a0 ^ state[1]
         free = pfree ^ (lits1 | lits0)
 
         # residual structure inside the component
         left = comp_vars & free
         undecided = left & gate_bits
-        if zero:
-            zero_c = (zero_c | (1 << v if v >= 0 else 0)) & zero
-        else:
-            zero_c = 0
+        zero_c = (zero_c | 1 << v) & zero if zero else 0
         active = undecided | zero_c
         chain_touch = {}    # plain bit -> free chained gates whose residual has it
         cut = {}            # chained gate with a failed input -> inputs left after it
@@ -436,10 +418,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 # input, which its variable set alone does not show
                 cuts = [(in_neg[g] & r, (in_pos[g] & r) | 1 << g)
                         for g, r in cut.items() if gates >> g & 1] if cut else ()
-                if zero_c:
-                    comps.append((members | (gates & live), gates & zero_c, mine, gates, cuts))
-                else:
-                    comps.append((members | gates, 0, mine, gates, cuts))
+                comps.append((members | (gates & live), gates & zero_c, mine, gates, cuts))
             present = others
         if len(comps) > 1:
             comps.sort(key=lambda cp: first_clause(cp[0], cp[3], live, cp[2], pfree, a1))

@@ -218,8 +218,8 @@ class TestCriterion6ExtendedFormulation:
                                     for t in certs)
 
             w = weights_from_profits(inst)
-            relayed, cost = weight_edge_costs(norm, w)
-            value, _ = dual_optimize(relayed, cost)
+            normal, cost = weight_edge_costs(norm, w)
+            value, _ = dual_optimize(normal, cost)
             assert value == optimize(base, w).value
         print(PASS.format(6, "system reproduction, determinant 2, certificate "
                              "bijection and exact duality on the corpus"))
@@ -269,9 +269,9 @@ class TestCriterion6ExtendedFormulation:
                       for e in edges if rng.random() < 0.3}]
             for cost in costs:
                 assert dual_optimize(norm, cost) == dual_optimize_reference(norm, cost)
-            relayed, cost = weight_edge_costs(norm, weights_from_profits(inst))
-            value, z = dual_optimize(relayed, cost)
-            assert (value, z) == dual_optimize_reference(relayed, cost)
+            normal, cost = weight_edge_costs(norm, weights_from_profits(inst))
+            value, z = dual_optimize(normal, cost)
+            assert (value, z) == dual_optimize_reference(normal, cost)
             assert value == opt.value
         print(PASS.format(6, "the integer dual equals the reference dual on the "
                              "500 corpus circuits"))

@@ -87,17 +87,21 @@ class TestCheckStructure:
         # x and y share the model x = y = 1: only SELECTOR's trust passes it
         b = CircuitBuilder(("x", "y"))
         out = b.add_or((b.literal("x", True), b.literal("y", True)), marker)
-        assert check_structure(b.finish(out)).deterministic == deterministic
+        c = b.finish(out)
+        assert check_structure(c).deterministic == deterministic
+        # the text format writes SELECTOR as 0, like no marker
+        assert to_nnf_text(c).splitlines()[-1] == f"O {1 if marker == 'x' else 0} 2 0 1"
 
     @pytest.mark.parametrize("marker", [5, -2])
     def test_marker_outside_the_universe_refused(self, marker):
         # the raw constructor takes any int marker; over two variables only
-        # bit positions 0 and 1 decide, and every pass refuses the rest
+        # bit positions 0 and 1 decide, and every pass and the text writer
+        # refuse the rest
         c = NnfCircuit(("x", "y"), ("x", "y"),
                        ([LIT, LIT, OR], [(), (), (0, 1)], [1, 2, marker], [0, 0, 0]), 2)
         message = f"Or marker {marker} is not a bit position of the 2 variables"
         w = WeightFunction(c.variables, {})
-        for query in (check_structure, lambda c: optimize(c, w), model_count):
+        for query in (check_structure, lambda c: optimize(c, w), model_count, to_nnf_text):
             with pytest.raises(ValueError, match=re.escape(message)):
                 query(c)
 

@@ -138,6 +138,14 @@ class TestSolve:
         assert out == "optimum 2\npoint v1=0 v2=0 v3=0 v4=1 v5=0 v6=0 v7=0 v8=1\n"
 
 
+    def test_negative_knapsack_lower_bound(self, capsys):
+        # x1 + x2 <= x3 + x4: v1 v2 pays only with v3 and v4 set as well
+        code, out = run(capsys, "solve", "--knapsack=-3:0:1,1,-1,-1", "-",
+                        stdin="4 v1 v2\n-1 v3\n-1 v4\n")
+        assert code == 0
+        assert out == "optimum 2\npoint v1=1 v2=1 v3=1 v4=1\n"
+
+
 class TestCard:
     def test_worked_example_set_two(self, capsys, example):
         code, out = run(capsys, "card", "--set", "2", example)
@@ -424,6 +432,7 @@ class TestFlagValues:
         (["oracle", "--card-set", ""], "bad sum set ''"),
         (["solve", "--knapsack", "1:2:"], "knapsack needs 6 coefficients, got 0"),
         (["solve", "--knapsack", "0:0"], "knapsack spec must look like L:U:c1,c2,..."),
+        (["solve", "--knapsack", ""], "knapsack spec must look like L:U:c1,c2,..."),
     ])
     def test_bad_value_is_one_line_before_compiling(self, capsys, monkeypatch, example,
                                                     argv, message):

@@ -21,6 +21,7 @@ from nnfopt.hypergraph import TreeDecomposition, vertex_node
 
 
 FRONT_HALF_SHA256 = "47b958eb76fe8c72d95dbee7fa000e4a94fab2d773ad79fdba85cf0a52976cba"
+COMPILED_CIRCUITS_SHA256 = "796aeb1e08a60adf8389a52c1f758054b2ebdd73a5686ed4ecb5c6de8f7106f1"
 
 
 def x(v):
@@ -93,6 +94,21 @@ class TestCompileSoundness:
         assert rep.decomposable and rep.deterministic
 
 
+def with_extra_clauses(rng, inst):
+    """The basic and a shuffled ordered encoding of inst, each with up to
+    three extra clauses over its vertex variables."""
+    order = list(inst.hypergraph.vertices)
+    rng.shuffle(order)
+    out = []
+    for enc in (encode_basic(inst), encode_ordered(inst, order)):
+        xs = [v for v in enc.variables if v.kind == "x"]
+        extra = [[(v, rng.random() < 0.5)
+                  for v in rng.sample(xs, rng.randint(1, min(3, len(xs))))]
+                 for _ in range(rng.randint(0, 3))]
+        out.append(CnfFormula(enc.variables, list(enc.clauses) + extra))
+    return out
+
+
 class TestGatesAmongPlainClauses:
     def test_encodings_with_extra_clauses_match_truth_table(self):
         # definitional groups of both encodings propagate as gates, the
@@ -101,14 +117,7 @@ class TestGatesAmongPlainClauses:
         rng = random.Random(44)
         for _ in range(40):
             inst = random_instance(rng, max_v=5, max_e=5, max_deg=4)
-            order = list(inst.hypergraph.vertices)
-            rng.shuffle(order)
-            for enc in (encode_basic(inst), encode_ordered(inst, order)):
-                xs = [v for v in enc.variables if v.kind == "x"]
-                extra = [[(v, rng.random() < 0.5)
-                          for v in rng.sample(xs, rng.randint(1, min(3, len(xs))))]
-                         for _ in range(rng.randint(0, 3))]
-                f = CnfFormula(enc.variables, list(enc.clauses) + extra)
+            for f in with_extra_clauses(rng, inst):
                 for hint in (None, tuple(reversed(f.variables))):
                     c = compile_formula(f, CompileConfig(order_hint=hint))
                     assert model_rows(c) == truth_rows(f)
@@ -142,6 +151,57 @@ class TestCompileDeterminism:
         f = encode_basic(worked_example())
         with pytest.raises(ValueError, match="permutation"):
             compile_formula(f, CompileConfig(order_hint=f.variables[:3]))
+
+
+def compiled_circuits_digest() -> str:
+    """SHA-256 over the columns, output and bit order of compiled circuits:
+    random formulas under declaration order, a shuffled hint and cache
+    budgets 0-2; root unit-clause cases; encodings with extra clauses under
+    declaration, reversed and shuffled orders; the acceptance corpus under
+    every encoding; and LABS n=8..12."""
+    x1, x2, x3 = x(1), x(2), x(3)
+    cases = [(CnfFormula([x1], [[]]), None),
+             (CnfFormula([x1, x2], [[(x1, True)], [(x1, False)]]), None),
+             (CnfFormula([x1, x2, x3], [[(x2, True)], [(x2, False), (x3, True)],
+                                        [(x1, True), (x3, False)]]), None),
+             (CnfFormula([x1, x2, x3], [[(x3, False)], [(x1, False), (x3, True)],
+                                        [(x1, True), (x2, True), (x3, True)]]),
+              CompileConfig(order_hint=(x2, x3, x1))),
+             (CnfFormula([x1, x2], [[(x1, True)], [(x1, False), (x2, True)],
+                                    [(x2, False)]]), None)]
+    rng = random.Random(5)
+    for _ in range(2000):
+        f = random_formula(rng, max_vars=8, max_clauses=14)
+        hint = list(f.variables)
+        rng.shuffle(hint)
+        cases += [(f, None), (f, CompileConfig(order_hint=hint))]
+        cases += [(f, CompileConfig(cache_budget=b)) for b in (0, 1, 2)]
+    rng = random.Random(44)
+    for _ in range(300):
+        for f in with_extra_clauses(rng, random_instance(rng, max_v=5, max_e=5, max_deg=4)):
+            hint = list(f.variables)
+            rng.shuffle(hint)
+            cases += [(f, CompileConfig(order_hint=h))
+                      for h in (None, tuple(reversed(f.variables)), hint)]
+    rng = random.Random(20250809)
+    insts = [corpus_instance(rng) for _ in range(300)]
+    insts += [parse_instance(gen_labs(n, 3)).instance for n in range(8, 13)]
+    for inst in insts:
+        for encoding in ("auto", "basic", "ordered"):
+            formula, hint = encode_instance(inst, encoding)
+            cases.append((formula, CompileConfig(order_hint=hint)))
+    digest = hashlib.sha256()
+    for f, cfg in cases:
+        c = compile_formula(f, cfg)
+        digest.update(repr((c.columns, c.output, c.bit_variables)).encode())
+    return digest.hexdigest()
+
+
+class TestCompiledCircuitsPinned:
+    def test_circuits_pinned(self):
+        # captured before the root's unit clauses and a gate decided 0 went
+        # through the propagation loop's clause and zero-gate rules
+        assert compiled_circuits_digest() == COMPILED_CIRCUITS_SHA256
 
 
 class TestCacheBudget:
