@@ -6,25 +6,28 @@ bit, component splits become decomposable And nodes, and the literals
 implied at a search node become the literal block of an And node, so
 the output is deterministic and decomposable by construction.
 
-The search state is a pair of bitmasks (variables set to 1, set to 0)
-over the variables in branch order, so the next decision is the lowest
-free bit of a component.  Definitional clause groups y <-> l_1 & ... & l_k
-(one clause y | -l_1 | ... | -l_k plus k links, with y in no other clause
-and no input defined itself) are recognized as gates: plain gates with
-the links -y | l_i of the basic encoding, and chained gates with the
-links -y | l_j | -l_{j+1} | ... | -l_k of the ordered encoding.  A failing
-input sets the outputs of all the plain gates it feeds to 0 in one mask
-operation; a chained gate's output falls to 0 once its last input that
-does not hold has failed; a gate decided 0 forces its last input that
-does not hold to fail; outputs whose inputs all hold are set to 1 once
-the free inputs of the component are known.  Every other clause is
-propagated through occurrence lists, and the root reads all of them
-through the same rule, so its unit clauses seed the propagation.  The
-residual clauses of a gate whose output is free depend only on which of
-its inputs are free, except for a chained gate with a failed input,
-which also keeps that input's link; so a component's residual clause set
-is determined by its variable set plus those links and its other
-residual clauses, and that pair is its cache key.
+The search state is four bitmasks over the variables in branch order:
+the variables set to 1, those set to 0, the gates decided 0 while none
+of their inputs has failed, and the chained gates with a failed input.
+The next decision is the lowest free bit of a component.  Definitional
+clause groups y <-> l_1 & ... & l_k (one clause y | -l_1 | ... | -l_k
+plus k links, with y in no other clause and no input defined itself) are
+recognized as gates: plain gates with the links -y | l_i of the basic
+encoding, and chained gates with the links -y | l_j | -l_{j+1} | ... |
+-l_k of the ordered encoding.  A failing input sets the outputs of all
+the plain gates it feeds to 0 in one mask operation; a chained gate's
+output falls to 0 once its last input that does not hold has failed; a
+gate decided 0 forces its last input that does not hold to fail; outputs
+whose inputs all hold are set to 1 once the free inputs of the component
+are known.  Every other clause is propagated through occurrence lists,
+and the root reads all of them through the same rule, so its unit
+clauses seed the propagation.  The residual clauses of a gate whose
+output is free depend only on which of its inputs are free, except for a
+chained gate with a failed input, which also keeps that input's link; so
+a component's residual clause set is determined by its variable set plus
+those links and its other residual clauses, and that pair is its cache
+key.  Only the gates in the fourth mask have such a cut, so the residual
+step walks the links of those gates alone.
 """
 
 from __future__ import annotations
@@ -249,12 +252,16 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
         The root reads every plain clause through the propagation loop's
         clause rule, and a gate decided 0 enters its zero-gate rule.  state
         is (variables set to 1, set to 0, gates whose output is 0 while none
-        of their inputs is false yet); pfree holds the variables free when
-        the component was split off.  Returns _FAIL on conflict, the search
-        node's circuit node when no component is left, and otherwise what
-        expand needs to compile the components.
+        of their inputs is false yet, chained gates with a failed input);
+        each propagated literal adds the chained gates it fails to the last
+        mask.  pfree holds the variables free when the component was split
+        off.  The residual step walks the links of the undecided gates in
+        that mask alone, to find their cuts; every other undecided gate
+        touches the free variables that feed it.  Returns _FAIL on
+        conflict, the search node's circuit node when no component is left,
+        and otherwise what expand needs to compile the components.
         """
-        a1, a0, zero = state
+        a1, a0, zero, failed = state
         start = len(kinds)
         if v < 0:
             queue = [(0, 0, cls)]   # the root: every plain clause
@@ -297,6 +304,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
                 if zero:
                     zero &= ~down
             if chained_bits and (up | down) & chained_bits:
+                failed |= down & chained_bits
                 # a chained gate's output is 0 once its last input that
                 # does not hold has failed
                 for g in mask_bits((up | down) & chained_bits & ~(a1 | a0)):
@@ -343,9 +351,10 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
         active = undecided | zero_c
         chain_touch = {}    # plain bit -> free chained gates whose residual has it
         cut = {}            # chained gate with a failed input -> inputs left after it
-        if undecided & chained_bits:
-            active ^= undecided & chained_bits
-            for g in mask_bits(undecided & chained_bits):
+        if undecided & failed:
+            # a chained gate with no failed input reads like a plain one
+            active ^= undecided & failed
+            for g in mask_bits(undecided & failed):
                 left_after = 0
                 for b, positive, _ in reversed(gate_clauses[g][1]):
                     if free >> b & 1:
@@ -439,7 +448,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
 
         if not comps:
             return assemble(lits1, lits0, ())
-        return comps, lits1, lits0, (a1, a0, zero), free, start
+        return comps, lits1, lits0, (a1, a0, zero, failed), free, start
 
     def assemble(lits1, lits0, parts) -> int:
         """The node of a search node: its literal block and component nodes
@@ -504,7 +513,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     # nodes they need, so the search depth costs heap objects rather than
     # interpreter stack
     stack = []
-    request = (-1, 0, everything, 0, list(range(len(plain))), (0, 0, 0), everything)
+    request = (-1, 0, everything, 0, list(range(len(plain))), (0, 0, 0, 0), everything)
     while request is not None:
         root = settle(*request)
         if type(root) is tuple:
@@ -556,11 +565,13 @@ def order_from_decomposition(td: TreeDecomposition) -> tuple:
     if not td._is_tree():
         raise ValueError("bag graph is not a tree")
     broken = td.disconnected()
+    key = {}    # element -> its repr, which orders each bag
     for el in {x for bag in td.bags.values() for x in bag}:
         if el in broken:
             raise ValueError("decomposition violates connectedness")
         if not (isinstance(el, tuple) and len(el) == 2 and el[0] in ("v", "c")):
             raise ValueError("bags must contain incidence-graph nodes")
+        key[el] = repr(el)
     root = min(td.bags)
     seen_bags = {root}
     stack = [root]
@@ -568,7 +579,7 @@ def order_from_decomposition(td: TreeDecomposition) -> tuple:
     emitted = set()
     while stack:
         b = stack.pop()
-        for el in sorted(td.bags[b], key=repr):
+        for el in sorted(td.bags[b], key=key.__getitem__):
             if el[0] == "v" and el[1] not in emitted:
                 emitted.add(el[1])
                 out.append(el[1])

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import logging
 import random
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from corpus import (corpus_instance, worked_example, random_formula, random_instance,
                     sat_assignments)
+from families import intervals
 from nnfopt import (CnfFormula, CompileConfig, Hypergraph, beta_elimination_order,
                     check_structure, compile_formula, compile_instance, compiler,
                     encode_basic, encode_instance, encode_ordered,
@@ -22,6 +24,8 @@ from nnfopt.hypergraph import TreeDecomposition, vertex_node
 
 FRONT_HALF_SHA256 = "47b958eb76fe8c72d95dbee7fa000e4a94fab2d773ad79fdba85cf0a52976cba"
 COMPILED_CIRCUITS_SHA256 = "796aeb1e08a60adf8389a52c1f758054b2ebdd73a5686ed4ecb5c6de8f7106f1"
+INTERVAL_LADDER_SHA256 = "408508c14954ec3533b541f23e659543929322382ee4259c1116f79c42685978"
+INTERVAL_MINFILL_SHA256 = "97230da03fba000d8dab442965edfea1d104b28ea56a55c095ace325dd5daaf8"
 
 
 def x(v):
@@ -204,6 +208,35 @@ class TestCompiledCircuitsPinned:
         assert compiled_circuits_digest() == COMPILED_CIRCUITS_SHA256
 
 
+class TestIntervalLadderPinned:
+    # both digests were captured before the residual step walked the links
+    # of the cut chained gates alone
+
+    def test_interval_ladder_pinned(self):
+        # the beta order branches on a chained gate's later inputs first,
+        # so a failed input sets its output to 0 at once: no gate is cut
+        digest = hashlib.sha256()
+        for n in (50, 100, 200, 400):
+            for seed in range(3):
+                c = compile_instance(intervals(n, seed))
+                digest.update(repr((c.columns, c.output, c.bit_variables)).encode())
+        assert digest.hexdigest() == INTERVAL_LADDER_SHA256
+
+    def test_interval_ladder_under_minfill_pinned(self):
+        # the same ordered encodings branched along a min-fill order, under
+        # which hundreds of search nodes hold chained gates cut by a failed
+        # input with free inputs on both sides of the cut
+        digest = hashlib.sha256()
+        for n in (50, 100, 200):
+            for seed in range(3):
+                formula, _ = encode_instance(intervals(n, seed))
+                hint = order_from_decomposition(
+                    minfill_decomposition(formula_incidence_graph(formula)))
+                c = compile_formula(formula, CompileConfig(order_hint=hint))
+                digest.update(repr((c.columns, c.output, c.bit_variables)).encode())
+        assert digest.hexdigest() == INTERVAL_MINFILL_SHA256
+
+
 class TestCacheBudget:
     def test_exhaustion_warns_but_stays_correct(self, caplog):
         f = encode_basic(worked_example())
@@ -289,6 +322,25 @@ class TestSizeSmoke:
         total1, total3 = 10 + 9, 40 + 39
         # subquadratic growth in |V|+|E| across the corpus
         assert n3 / n1 < (total3 / total1) ** 2
+
+
+class TestChainWalks:
+    def test_link_walks_per_node_bounded(self, monkeypatch):
+        # every walk over a chained gate's links starts with reversed();
+        # the count per circuit node must not grow with n on intervals
+        walks = [0]
+
+        def counted(seq):
+            walks[0] += 1
+            return builtins.reversed(seq)
+
+        monkeypatch.setattr(compiler, "reversed", counted, raising=False)
+        for n in (100, 200, 400):
+            for seed in range(3):
+                formula, hint = encode_instance(intervals(n, seed))
+                walks[0] = 0
+                c = compile_formula(formula, CompileConfig(order_hint=hint))
+                assert 0 < walks[0] <= 8 * c.node_count, (n, seed, walks[0] / c.node_count)
 
 
 def front_half_digest() -> str:

@@ -1,0 +1,35 @@
+"""The benchmark scripts run end to end on small inputs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_bench_scaling_writes_and_merges(tmp_path):
+    out = tmp_path / "scaling.json"
+    for label in ("first", "second"):
+        proc = run_script("bench_scaling.py", "--label", label, "--out", str(out),
+                          "--intervals", "20", "--cycles", "12")
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert sorted(runs) == ["first", "second"]
+    first, second = runs["first"]["rungs"], runs["second"]["rungs"]
+    assert sorted(first) == ["intervals n=20", "shuffled cycle of triples n=12"]
+    row = first["intervals n=20"]
+    assert (row["n"], row["edges_in"]) == (20, 40)
+    assert row["nodes"] > 0 and row["edges"] > 0
+    assert set(row["seconds"]) == {"encode", "compile"}
+    # sizes and circuits repeat exactly from run to run
+    assert {k: {f: r[f] for f in ("nodes", "edges", "circuit_sha256")} for k, r in first.items()} \
+        == {k: {f: r[f] for f in ("nodes", "edges", "circuit_sha256")} for k, r in second.items()}

@@ -9,6 +9,7 @@ import pytest
 from corpus import (circuit_corpus, corpus_instance, worked_example,
                     poly_points_sorted, random_decision_dnnf, random_formula,
                     random_instance, variable_sets)
+from families import interval_instance
 from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig,
                     WeightFunction, beta_elimination_order, brute_force,
                     build_system, check_structure, compile_formula,
@@ -386,22 +387,6 @@ class TestColumnarCopyOracle:
 
 
 PINNED_TRANSFORM_DIGEST = "d168ec3d32c3cc946d2b26158fefc0a562f848cec50373267a8708cdd3e2fd00"
-
-
-def interval_instance(rng, n: int = 16, count: int = 30):
-    """An interval hypergraph on a path of n vertices, as in the benchmark's
-    beta-intervals items: lengths 1..5 in turn, random signs and nonzero
-    rational profits."""
-    lines = []
-    for j in range(count):
-        length = 1 + j % 5
-        start = rng.randint(1, n - length + 1)
-        d = rng.randint(1, 4)
-        coeff = Fraction(rng.choice([i for i in range(-9 * d, 9 * d + 1) if i]), d)
-        lits = [f"v{v}" if rng.randint(0, 1) else f"~v{v}"
-                for v in range(start, start + length)]
-        lines.append(" ".join([str(coeff), *lits]))
-    return parse_instance("\n".join(lines) + "\n").instance
 
 
 def transform_texts(seed: int = 83):
