@@ -6,9 +6,9 @@ The single-optimum query runs directly on non-smooth circuits by keeping,
 for every node, the best weight of a model of the node completed greedily
 on all remaining variables.  The top-k query is a semiring over
 circuit.smooth_fold: a node's value is its k best models over the
-variables it mentions, and the fold pads Or children and the output with
-the k best completions of the variables they miss.  Both passes run in
-scaled integers and make rationals only for the answers they return.
+variables it mentions, one int per model, so that a product is an
+integer sum and a merge a sort.  Both passes run in scaled integers and
+make rationals only for the answers they return.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -26,6 +26,7 @@ from .cnf import CnfVariable, instance_variables
 from .hypergraph import LiteralInstance
 
 NEG_INF = float("-inf")
+_BITS = bytes.maketrans(b"01", b"\0\1")     # a bit string's bytes to 0s and 1s
 
 
 class WeightFunction:
@@ -88,17 +89,11 @@ def _require_opt_structure(c: NnfCircuit) -> None:
         raise ValueError("query needs a decomposable, deterministic circuit")
 
 
-def _regret_planes(c: NnfCircuit, w: WeightFunction):
-    """Integer weights for the optimum and top-k passes, exact after one
-    division.
-
-    Weights are scaled by the lcm of their denominators.  A literal's
-    regret is what it costs against its variable's better bit (slack); a
-    literal block's regret is summed plane by plane, as 2^j times the
-    number of its literals whose regret has bit j.  Returns (scale, scaled
+def _regrets(c: NnfCircuit, w: WeightFunction):
+    """Integer weights for the optimum and top-k passes: (scale, scaled
     total slack, regrets of positive and of negative literals by bit
-    position, planes of positive literals, planes of negative ones).
-    """
+    position).  Weights are scaled by the lcm of their denominators; a
+    literal's regret is what it costs against its variable's better bit."""
     scale, ints = w._scaled_ints
     total = 0
     r1, r0 = [], []
@@ -108,19 +103,20 @@ def _regret_planes(c: NnfCircuit, w: WeightFunction):
         total += best
         r1.append(best - w1)
         r0.append(best - w0)
+    return scale, total, r1, r0
 
-    def planes(regrets):
-        out = []
-        for j in range(max(regrets, default=0).bit_length()):
-            mask = 0
-            for i, r in enumerate(regrets):
-                if r >> j & 1:
-                    mask |= 1 << i
-            if mask:
-                out.append((j, mask))
-        return tuple(out)
 
-    return scale, total, r1, r0, planes(r1), planes(r0)
+def _planes(regrets: list) -> tuple:
+    """(j, mask of the bit positions whose regret has bit j), j ascending:
+    a literal block's regret is 2^j times its literals in mask, summed."""
+    masks: dict = {}
+    for i, r in enumerate(regrets):
+        while r:
+            low = r & -r
+            j = low.bit_length() - 1
+            masks[j] = masks.get(j, 0) | 1 << i
+            r ^= low
+    return tuple(sorted(masks.items()))
 
 
 def _block_regret(a: int, b: int, planes1, planes0) -> int:
@@ -142,14 +138,15 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
     m(v) = max of w over models of v extended greedily outside var(v);
     a top-down walk then rebuilds a witness.  Ties between Or children go
     to the first child in declaration order.  The pass runs in integers
-    (see _regret_planes) and reads literal blocks whole.  The witness is
+    (see _regrets) and reads literal blocks whole.  The witness is
     checked against the circuit and the weight function on every call;
     a failed check raises RuntimeError.
     """
     if set(w.universe) != set(c.variables):
         raise ValueError("weight universe must match the circuit universe")
     _require_opt_structure(c)
-    scale, total, _, _, planes1, planes0 = _regret_planes(c, w)
+    scale, total, r1, r0 = _regrets(c, w)
+    planes1, planes0 = _planes(r1), _planes(r0)
     kinds, kids, pos, neg = c.columns
 
     m: list = []        # scaled m(v); None stands for -infinity
@@ -219,61 +216,57 @@ def project_solution(tau: Mapping, inst: LiteralInstance) -> dict:
     return {v: int(bit) for v, bit in bits.items()}
 
 
-def _kbest_product(la: list, lb: list, k: int) -> list:
-    """The k smallest combined entries of two ascending entry lists over
-    disjoint variables.
+def _kbest_sum(la: list, lb: list, k: int) -> list:
+    """The k smallest sums of an entry of la and an entry of lb, ascending.
 
-    An entry is (regret, ones mask); combining adds the regrets and ors
-    the masks, which is monotone in each argument, so a heap over the grid
-    of index pairs yields the combinations in ascending order.  Each pair
-    is reached once: (i, j+1) always, (i+1, j) from column 0 only.
+    Both lists ascend and hold at most k entries.  A grid of up to 4k sums
+    is sorted whole; a larger one is walked by a heap over index pairs,
+    (i, j+1) always and (i+1, j) from column 0 only.
     """
-    if not la or not lb:
-        return []
-    if len(lb) == 1:
-        rb, mb = lb[0]
-        return [(ra + rb, ma | mb) for ra, ma in la]
     if len(la) == 1:
-        ra, ma = la[0]
-        return [(ra + rb, ma | mb) for rb, mb in lb[:k]]
+        la, lb = lb, la
+    if len(lb) == 1:
+        return [a + lb[0] for a in la]
+    if len(la) * len(lb) <= 4 * k:
+        return sorted([a + b for a in la for b in lb])[:k]
     out = []
-    heap = [(la[0][0] + lb[0][0], la[0][1] | lb[0][1], 0, 0)]
+    heap = [(la[0] + lb[0], 0, 0)]
     while heap and len(out) < k:
-        r, m, i, j = heapq.heappop(heap)
-        out.append((r, m))
+        s, i, j = heapq.heappop(heap)
+        out.append(s)
         if j + 1 < len(lb):
-            ea, eb = la[i], lb[j + 1]
-            heapq.heappush(heap, (ea[0] + eb[0], ea[1] | eb[1], i, j + 1))
+            heapq.heappush(heap, (la[i] + lb[j + 1], i, j + 1))
         if j == 0 and i + 1 < len(la):
-            ea, eb = la[i + 1], lb[0]
-            heapq.heappush(heap, (ea[0] + eb[0], ea[1] | eb[1], i + 1, 0))
+            heapq.heappush(heap, (la[i + 1] + lb[0], i + 1, 0))
     return out
 
 
 def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction]]:
     """The k best models by weight, values nonincreasing.
 
-    Returns fewer than k pairs exactly when the circuit has fewer models.
-    Ties are broken toward lexicographically smaller assignments in
+    k is any positive int; fewer pairs come back exactly when the circuit
+    has fewer models.  Ties go to lexicographically smaller assignments in
     universe order.  A semiring over smooth_fold keeps, per node, the k
-    best models over the variables the node mentions, as ascending
-    (regret, ones) pairs of ints: the scaled regret against the
-    per-variable optimum (see _regret_planes) and the set bits, universe
-    position i at bit n-1-i, so that tuple order is the output order.  A
-    literal block is one constant entry, an And node takes the k best
-    products of its children, and an Or node merges its padded children;
-    padding takes the k best products with the k best completions of the
-    missing variables, memoized per missing-variable mask.  Values and
-    dicts are made only for the returned pairs.
+    best models over the variables it mentions as ascending ints
+    regret << n | ones: the scaled regret against the per-variable optimum
+    (see _regrets) over n variables, and the set bits, universe position i
+    at bit n-1-i.  So int order is the output order, and a product over
+    disjoint variables is a sum: And nodes and padding (by the k best
+    completions of the missing variables, memoized per mask) take k-best
+    sums, and an Or node sorts its children's entries and keeps k.  A
+    block's key sums its literals' keys, but its negative regret is read
+    plane by plane if it has at least as many negative literals as planes.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
     if set(w.universe) != set(c.variables):
         raise ValueError("weight universe must match the circuit universe")
     _require_opt_structure(c)
-    scale, total, r1, r0, planes1, planes0 = _regret_planes(c, w)
+    scale, total, r1, r0 = _regrets(c, w)
+    planes0 = _planes(r0)
     n = len(c.variables)
-    ones_bit = [1 << (n - 1 - r) for r in c.universe_rank]
+    # the literal at bit i has key keys[i] if positive, keys[n + i] if negative
+    keys = [r << n | 1 << (n - 1 - u) for r, u in zip(r1, c.universe_rank)] + [r << n for r in r0]
     pads: dict = {}     # missing-variable mask -> its k best completions
 
     def pad(entries: list, missing: int) -> list:
@@ -281,24 +274,30 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
             return []
         got = pads.get(missing)
         if got is None:
-            got = [(0, 0)]
+            got = [0]
             for i in mask_bits(missing):
-                pair = sorted(((r0[i], 0), (r1[i], ones_bit[i])))
-                got = _kbest_product(got, pair, k)
+                got = _kbest_sum(got, sorted((keys[i], keys[n + i]))[:k], k)
             pads[missing] = got
-        return _kbest_product(entries, got, k)
+        return _kbest_sum(entries, got, k)
 
-    def product(a: int, b: int, lists=()) -> list:
-        acc = [(_block_regret(a, b, planes1, planes0), sum(ones_bit[i] for i in mask_bits(a)))]
+    def product(a: int, b: int, lists) -> list:
+        if b.bit_count() < len(planes0):
+            key, a = 0, a | b << n
+        else:
+            key = _block_regret(0, b, (), planes0) << n
+        while a:
+            low = a & -a
+            key += keys[low.bit_length() - 1]
+            a ^= low
+        acc = [key]
         for entries in lists:
-            acc = _kbest_product(acc, entries, k)
+            acc = _kbest_sum(acc, entries, k)
         return acc
 
-    out = smooth_fold(c, zip(count(), *c.columns), c.output, product, product,
-                      lambda d, lists: list(islice(heapq.merge(*lists), k)),
-                      pad, [(0, 0)], [])
-    result = []
-    for r, ones in out:
-        bits = format(ones, f"0{n}b") if n else ""
-        result.append((dict(zip(c.variables, map(int, bits))), Fraction(total - r, scale)))
-    return result
+    out = smooth_fold(c, zip(count(), *c.columns), c.output,
+                      lambda a, b: [keys[(a or b << n).bit_length() - 1]],
+                      product, lambda d, lists: sorted(chain.from_iterable(lists))[:k],
+                      pad, [0], [])
+    low = (1 << n) - 1
+    return [(dict(zip(c.variables, format(key & low, f"0{n}b").encode().translate(_BITS))),
+             Fraction(total - (key >> n), scale)) for key in out]

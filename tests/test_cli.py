@@ -189,6 +189,13 @@ class TestTopk:
         assert code == 0
         assert out == LABS_8_3_TOP5
 
+    def test_k_past_sys_maxsize_lists_every_point(self, capsys):
+        tri = "2 v1 v2\n-1 v2 v3\n3 v3 v1\n"
+        code, out = run(capsys, "topk", "--k", str(2 ** 70), "-", stdin=tri)
+        assert code == 0
+        code8, out8 = run(capsys, "topk", "--k", "8", "-", stdin=tri)
+        assert code8 == 0 and out == out8 and len(out.splitlines()) == 8
+
 
 class TestCompile:
     def test_emit_cnf_counts(self, capsys, example):

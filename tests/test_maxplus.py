@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -5,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import (circuit_corpus, fig_ddnnf, worked_example, poly_points_sorted,
+from corpus import (circuit_corpus, corpus_instance, worked_example, poly_points_sorted,
                     random_decision_dnnf, random_formula, random_instance,
                     variable_sets)
-from nnfopt import (NEG_INF, CircuitBuilder, CompileConfig, WeightFunction,
-                    compile_formula, encode_basic, encode_ordered, enumerate_models,
-                    evaluate, optimize, project_solution, top_k, weights_from_profits)
+from families import intervals
+from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig, NnfCircuit,
+                    WeightFunction, compile_formula, compile_instance, encode_basic,
+                    enumerate_models, evaluate, gen_labs, optimize, parse_instance,
+                    project_solution, restrict_cardinality, top_k, weights_from_profits)
 from nnfopt.cnf import CnfFormula, CnfVariable, instance_variables
 
 
@@ -186,6 +189,34 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(compiled_worked(), weights_from_profits(worked_example()), 0)
 
+    @pytest.mark.parametrize("k", [2.5, "3", -1, None])
+    def test_k_must_be_a_positive_int(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            top_k(compiled_worked(), weights_from_profits(worked_example()), k)
+
+    def test_k_past_sys_maxsize_returns_every_model(self):
+        inst = parse_instance("2 v1 v2\n-1 v2 v3\n3 v3 v1\n").instance
+        c, w = compile_instance(inst), weights_from_profits(inst)
+        every = top_k(c, w, 8)
+        assert len(every) == 8
+        assert top_k(c, w, 2 ** 70) == every
+
+    def test_deep_chain_runs_without_recursion(self):
+        # 20,000 gates deep: each variable adds an Or deciding it over two
+        # Ands, each of one of its literals and the chain built so far
+        rng = random.Random(19)
+        universe = [f"v{i}" for i in range(10_000)]
+        b = CircuitBuilder(universe)
+        below = b.true()
+        for v in universe:
+            below = b.add_or([b.add_and((b.literal(v, sign), below)) for sign in (True, False)], v)
+        c = b.finish(below)
+        w = WeightFunction(universe, {(v, rng.randint(0, 1)): rng.randint(1, 9) for v in universe})
+        opt = optimize(c, w)
+        best = top_k(c, w, 3)
+        assert best[0] == (opt.witness, opt.value)
+        assert opt.value > best[1][1] >= best[2][1]
+
 
 def ranked_models(c, w):
     """The oracle order of top_k: value nonincreasing, then the assignment
@@ -278,6 +309,56 @@ class TestTopKOracle:
         assert got == ranked_models(c, w)
         assert [v for _, v in got] == [2, 2, 1, 1, 1, 1, 0, 0]
         assert got[0][0] == {x(2): 0, x(1): 1, x(3): 0}
+
+
+TOP_K_SHA256 = "70685844c72c27e156345024dbbe72f59ffaee524fe4a91241afaa8d627c97ad"
+
+
+def top_k_digest() -> str:
+    """SHA-256 over full top_k outputs, each model as its bits in universe
+    order and its value: acceptance-corpus instances, LABS n=8..12,
+    interval ladders, cardinality-restricted corpus circuits (SELECTOR
+    Ors and padding) and tie-heavy weights on random decision-DNNFs whose
+    bit order is a permutation of the universe."""
+    digest = hashlib.sha256()
+
+    def pin(c, w, ks):
+        for k in ks:
+            digest.update(repr([("".join(str(a[v]) for v in c.variables), str(value))
+                                for a, value in top_k(c, w, k)]).encode())
+
+    rng = random.Random(20251020)
+    for _ in range(300):
+        inst = corpus_instance(rng)
+        c = compile_instance(inst)
+        w = weights_from_profits(inst)
+        pin(c, w, (1, 4, 37))
+        xs = tuple(x(v) for v in inst.hypergraph.vertices)
+        sums = rng.sample(range(len(xs) + 1), rng.randint(1, len(xs) + 1))
+        pin(restrict_cardinality(c, CardinalitySpec(xs, sums)), w, (1, 4, 37))
+    for n in range(8, 13):
+        inst = parse_instance(gen_labs(n, 3)).instance
+        pin(compile_instance(inst), weights_from_profits(inst), (5, 100))
+    for n in (50, 100):
+        for s in range(3):
+            inst = intervals(n, s)
+            pin(compile_instance(inst), weights_from_profits(inst), (1, 10, 100))
+    rng = random.Random(20251021)
+    for _ in range(150):
+        universe = [f"z{i}" for i in range(rng.randint(1, 9))]
+        c = random_decision_dnnf(rng, universe)
+        rng.shuffle(universe)
+        c = NnfCircuit(tuple(universe), c.bit_variables, c.columns, c.output)
+        w = WeightFunction(universe, {(v, bit): rng.choice((-1, 0, 0, 1))
+                                      for v in universe for bit in (0, 1)})
+        pin(c, w, (1, 3, 10, 600))
+    return digest.hexdigest()
+
+
+class TestTopKPinned:
+    def test_top_k_pinned(self):
+        # captured before top-k entries became single ints
+        assert top_k_digest() == TOP_K_SHA256
 
 
 class TestScalingInvariance:

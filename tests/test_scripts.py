@@ -33,3 +33,23 @@ def test_bench_scaling_writes_and_merges(tmp_path):
     # sizes and circuits repeat exactly from run to run
     assert {k: {f: r[f] for f in ("nodes", "edges", "circuit_sha256")} for k, r in first.items()} \
         == {k: {f: r[f] for f in ("nodes", "edges", "circuit_sha256")} for k, r in second.items()}
+
+
+def test_bench_topk_writes_and_merges(tmp_path):
+    out = tmp_path / "topk.json"
+    for label, args in (("first", ["--labs", "6", "--intervals", "12"]),
+                        ("second", ["--labs", "--intervals", "12"]),
+                        ("second", ["--labs", "6", "--intervals"])):
+        proc = run_script("bench_topk.py", "--label", label, "--out", str(out), *args)
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert sorted(runs) == ["first", "second"]
+    # a run merges into its label case by case
+    first, second = runs["first"]["cases"], runs["second"]["cases"]
+    assert sorted(first) == sorted(second) == ["gen-labs 6 3", "intervals n=12"]
+    row = first["intervals n=12"]
+    assert row["nodes"] > 0 and row["edges"] > 0
+    assert set(row["seconds"]) == {"optimize", "top_k k=1", "top_k k=10", "top_k k=100"}
+    # sizes and answers repeat exactly from run to run
+    assert {k: {f: r[f] for f in ("nodes", "edges", "answers_sha256")} for k, r in first.items()} \
+        == {k: {f: r[f] for f in ("nodes", "edges", "answers_sha256")} for k, r in second.items()}
