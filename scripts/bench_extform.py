@@ -1,18 +1,19 @@
 """Time the stages of nnfopt's extended-formulation path, and count the
 full garbage collections each query path sets off.
 
-For every workload of perfbench (labs-dense, corpus-mixed,
-beta-intervals) at seed 1 this compiles each item's query circuit as the
-benchmark does, then:
+For each perfbench workload named by --workloads (default: labs-dense,
+corpus-mixed and beta-intervals) at seed 1 this compiles each item's
+query circuit as the benchmark does, then:
 
   * runs the extform stages -- normalize_for_extform, then build_system
     with x columns, weight_edge_costs and dual_optimize on that one normal
     form -- REPEAT times per item with the collector on, and records the
     mean over items of each stage's per-item minimum, in milliseconds;
   * runs the benchmark's own item loop (perfbench/worker.py run_item,
-    every answer checked) for PROBE_SECONDS and, through gc.callbacks,
-    counts the generation-2 collections and their seconds by the query
-    path that was running when each one fell due.
+    every answer checked) for --probe-seconds (default PROBE_SECONDS),
+    and at least once over the items, and through gc.callbacks counts the
+    generation-2 collections and their seconds by the query path that was
+    running when each one fell due.
 
 Results are merged into the JSON file under --label, so the numbers of
 two checkouts sit side by side:
@@ -85,8 +86,9 @@ class PathProbe(spans.Untraced):
             self.path = None
 
 
-def full_collections(items) -> dict:
-    """Generation-2 collections per path over PROBE_SECONDS of the loop."""
+def full_collections(items, probe_seconds: float) -> dict:
+    """Generation-2 collections per path over probe_seconds of the loop,
+    and at least one pass over the items."""
     refs = {item.id: oracle.references(item) for item in items}
     polys = {item.id: (oracle.read_poly(item.solve_text), oracle.read_poly(item.query_text))
              for item in items}
@@ -108,7 +110,7 @@ def full_collections(items) -> dict:
     gc.collect()
     gc.callbacks.append(on_gc)
     try:
-        deadline = time.perf_counter() + PROBE_SECONDS
+        deadline = time.perf_counter() + probe_seconds
         i = 0
         while i < len(items) or time.perf_counter() < deadline:
             item = items[i % len(items)]
@@ -123,7 +125,7 @@ def full_collections(items) -> dict:
             for path in sorted(probe.calls.keys() | found.keys())}
 
 
-def measure(name: str) -> dict:
+def measure(name: str, probe_seconds: float) -> dict:
     items = workloads.make_items(name, SEED)
     circuits = {}       # query text -> compiled circuit, one per distinct text
     for item in items:
@@ -134,7 +136,7 @@ def measure(name: str) -> dict:
         "query_circuits": len(circuits),
         "stage_min_ms": {stage: round(1000 * sum(m[stage] for m in minima) / len(minima), 3)
                          for stage in STAGES},
-        "full_collections": full_collections(items),
+        "full_collections": full_collections(items, probe_seconds),
     }
 
 
@@ -142,12 +144,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_extform.json")
+    ap.add_argument("--probe-seconds", type=float, default=PROBE_SECONDS, metavar="S",
+                    help="length of each workload's collection probe (default: %(default)s)")
+    ap.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS,
+                    default=list(workloads.WORKLOADS), metavar="NAME",
+                    help="workloads to measure (default: all of %(choices)s)")
     args = ap.parse_args(argv)
 
     run = {"machine": machine(), "seed": SEED, "repeat": REPEAT,
-           "probe_seconds": PROBE_SECONDS, "workloads": {}}
-    for name in workloads.WORKLOADS:
-        run["workloads"][name] = row = measure(name)
+           "probe_seconds": args.probe_seconds, "workloads": {}}
+    for name in args.workloads:
+        run["workloads"][name] = row = measure(name, args.probe_seconds)
         print(f"{name}: {row['stage_min_ms']}", file=sys.stderr)
 
     data = {}

@@ -110,22 +110,48 @@ class NnfCircuit:
     @cached_property
     def record_kids(self) -> tuple:
         """Each node's children with its literal block expanded: the block's
-        literal nodes, in universe order, ahead of the other kids."""
+        literal nodes, in universe order, ahead of the other kids.
+
+        A literal with several nodes reads as the first of them, and a
+        variable in both masks of a block lists its two literals by node
+        id.  One table per sign gives each bit the packed int
+        rank << shift | node of its literal, so a block costs one walk over
+        its set bits, from the top, and one sort of small ints.  A block
+        literal without a node raises ValueError."""
         kinds, kids, pos, neg = self.columns
         if not any(a or b for kind, a, b in zip(kinds, pos, neg) if kind == AND):
             return tuple(kids)
+        shift = len(kinds).bit_length()
+        low = (1 << shift) - 1
         rank = self.universe_rank
-        lit_id: dict = {}
+        bit = [1 << i for i in range(len(rank))]
+        where = {m: i for i, m in enumerate(bit)}
+        tpos, tneg = [None] * len(bit), [None] * len(bit)
         for nid, kind in enumerate(kinds):
-            if kind == LIT:
-                lit_id.setdefault((pos[nid], neg[nid]), nid)
-        out = []
-        for kind, ks, a, b in zip(kinds, kids, pos, neg):
-            if kind == AND and (a or b):
-                lits = sorted([(rank[i], lit_id[(1 << i, 0)]) for i in mask_bits(a)]
-                              + [(rank[i], lit_id[(0, 1 << i)]) for i in mask_bits(b)])
-                ks = tuple(lid for _, lid in lits) + tuple(ks)
-            out.append(ks)
+            if kind == LIT and not (pos[nid] and neg[nid]):
+                table = tpos if pos[nid] else tneg
+                i = where.get(pos[nid] or neg[nid])
+                if i is not None and table[i] is None:
+                    table[i] = rank[i] << shift | nid
+        out = list(kids)
+        try:
+            for nid, kind in enumerate(kinds):
+                if kind == AND and (pos[nid] or neg[nid]):
+                    a, b = pos[nid], neg[nid]
+                    keys = []
+                    while a:
+                        i = a.bit_length() - 1
+                        keys.append(tpos[i])
+                        a ^= bit[i]
+                    while b:
+                        i = b.bit_length() - 1
+                        keys.append(tneg[i])
+                        b ^= bit[i]
+                    keys.sort()
+                    out[nid] = tuple([k & low for k in keys]) + tuple(kids[nid])
+        except (TypeError, IndexError):     # a literal the tables have no node for
+            raise ValueError(f"And node {nid} holds a literal that has no literal node") \
+                from None
         return tuple(out)
 
     # -- basic structure ---------------------------------------------------

@@ -12,7 +12,9 @@ The system is stored as a few flat int lists (compressed sparse rows of
 (column number, +-1) entries, right-hand sides and small-int row tags),
 not as one Python object per row; `LinearSystem.rows` rebuilds a row as a
 `Row` tuple when it is read.  The dual runs in ints, with rational costs
-scaled by the lcm of their denominators.
+scaled by the lcm of their denominators, and keeps one flat list of
+values per gate and one per edge; its assignment is a read-only Mapping
+over them, the way `rows` reads the CSR arrays.
 
 build_system, weight_edge_costs and dual_optimize all read the one
 circuit that normalize_for_extform returns; check_normalized scans it in
@@ -24,13 +26,13 @@ crosses at most one of them.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import lcm, prod
-from operator import mul
-from typing import Mapping, NamedTuple, Optional
+from operator import add, mul
+from typing import NamedTuple, Optional
 
 from .circuit import AND, LIT, OR, CapExceeded, CircuitBuilder, NnfCircuit, check_normalized
 from .maxplus import WeightFunction
@@ -340,43 +342,73 @@ def dual_optimize(c: NnfCircuit, cost: Mapping) -> tuple:
     variable carries the optimum, which equals the best certificate tree
     cost.  Integer costs give an integral dual.  Rational costs are
     scaled to ints by the lcm of their denominators for the pass, and the
-    values are scaled back to exact Fractions.
+    values are scaled back to exact Fractions as they are read.
+
+    The pass keeps one flat list of values per gate and one per edge, not
+    a dict: the assignment is a read-only Mapping over them, whose keys
+    come in node order and, within an And, in edge order.
     """
     check_normalized(c, require_smooth=False)
     record_kids = c.record_kids
     if not record_kids[c.output]:
         raise ValueError("unsatisfiable circuit: the primal system is infeasible")
     scale = None
-    if any(type(k) is not int for k in cost.values()):
+    if not set(map(type, cost.values())) <= {int}:
         scale = lcm(*(k.denominator for k in cost.values()))
         cost = {e: k.numerator * (scale // k.denominator) for e, k in cost.items()}
-    get = cost.get
+    costs = list(map(cost.get, range(c.edge_count), repeat(0)))
 
-    z: dict = {}
-    base: list = []     # per gate: its Or variable, or the sum of its And variables
-    eid = 0
-    for nid, (kind, ks) in enumerate(zip(c.columns[0], record_kids)):
-        if kind == AND:
-            acc = 0
-            for e, ch in enumerate(ks, eid):
-                z[("and", nid, e)] = got = get(e, 0) + base[ch]
-                acc += got
-            base.append(acc)
-        elif kind == OR and ks:
-            z[("or", nid)] = got = max([get(e, 0) + base[ch] for e, ch in enumerate(ks, eid)])
-            base.append(got)
+    gate: list = []     # per gate: its Or variable, or the sum of its And variables
+    edge: list = []     # per edge: its cost plus its child's value
+    for kind, ks in zip(c.columns[0], record_kids):
+        if ks:
+            got = list(map(add, costs[len(edge):len(edge) + len(ks)], map(gate.__getitem__, ks)))
+            edge += got
+            gate.append(sum(got) if kind == AND else max(got))
         else:
             # a childless Or has no dual variable for a parent to read
-            base.append(None if kind == OR else 0)
-        eid += len(ks)
-    if scale is not None:
-        exact: dict = {}
-        for key, v in z.items():
-            f = exact.get(v)
-            if f is None:
-                f = exact[v] = Fraction(v, scale)
-            z[key] = f
+            gate.append(None if kind == OR else 0)
+    z = _DualView(c, gate, edge, scale)
     return z[("or", c.output)], z
+
+
+class _DualView(Mapping):
+    """dual_optimize's assignment, read from its per-gate and per-edge
+    lists: ('or', gate) for each Or with inputs and ('and', gate, edge)
+    for each And in-edge, gate and edge being int ids, with values scaled
+    back on access."""
+
+    def __init__(self, c: NnfCircuit, gate: list, edge: list, scale: Optional[int]) -> None:
+        self._kinds, self._kids = c.columns[0], c.record_kids
+        self._first = list(accumulate(map(len, self._kids), initial=0))    # in-edges by node
+        self._gate, self._edge, self._scale = gate, edge, scale
+
+    def _value(self, v):
+        return v if self._scale is None else Fraction(v, self._scale)
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) in (2, 3) \
+                and all(isinstance(i, int) for i in key[1:]) and 0 <= key[1] < len(self._kinds):
+            nid = key[1]
+            kind = self._kinds[nid]
+            if key[0] == "or" and len(key) == 2 and kind == OR and self._kids[nid]:
+                return self._value(self._gate[nid])
+            if key[0] == "and" and len(key) == 3 and kind == AND \
+                    and self._first[nid] <= key[2] < self._first[nid + 1]:
+                return self._value(self._edge[key[2]])
+        raise KeyError(key)
+
+    def __iter__(self):
+        first = self._first
+        for nid, (kind, ks) in enumerate(zip(self._kinds, self._kids)):
+            if kind == AND:
+                for e in range(first[nid], first[nid + 1]):
+                    yield ("and", nid, e)
+            elif kind == OR and ks:
+                yield ("or", nid)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def weight_edge_costs(c: NnfCircuit, w: WeightFunction) -> tuple[NnfCircuit, dict]:
@@ -492,10 +524,8 @@ def _lp_number(value) -> str:
     if digits is None:
         raise ValueError(
             f"{f} has no exact decimal form; scale the objective to integers")
-    scaled = f * 10 ** digits
-    text = str(scaled.numerator).rjust(digits + 1, "0")
-    sign = "-" if text.startswith("-") else ""
-    text = text.lstrip("-").rjust(digits + 1, "0")
+    sign = "-" if f < 0 else ""
+    text = str(abs(f.numerator) * 10 ** digits // f.denominator).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .hypergraph import Hypergraph, LiteralInstance
 from .transforms import CardinalitySpec, _integer
 
@@ -147,8 +145,10 @@ def format_instance(parsed: ParsedInstance) -> str:
 # brute-force oracle
 
 
-def _term_columns(inst: LiteralInstance, bits: np.ndarray) -> np.ndarray:
-    """Value of each monomial's product at every point of the chunk."""
+def _term_columns(inst: LiteralInstance, bits):
+    """Value of each monomial's product at every point of the chunk, as an
+    int64 array with one row per monomial; bits has one row per vertex."""
+    import numpy as np
     npoints = bits.shape[1]
     h = inst.hypergraph
     pos = {v: j for j, v in enumerate(h.vertices)}
@@ -170,8 +170,11 @@ def brute_force(inst: LiteralInstance,
     Points are ranked by value, ties broken toward lexicographically
     smaller points (vertex order, 0 before 1).  spec restricts the bit
     count of the counted vertices (all vertices when a plain sum set is
-    given).  Guarded to 24 vertices.
+    given).  Guarded to 24 vertices.  numpy is imported here, not with the
+    module, so the CLI starts without it.
     """
+    import numpy as np
+
     h = inst.hypergraph
     n = len(h.vertices)
     if n > ORACLE_MAX_VERTICES:

@@ -13,9 +13,13 @@ from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     compile_formula, encode_basic, enumerate_models, evaluate,
                     from_nnf_text, model_count, normalize_for_extform, reroot,
                     smooth_binary_form, to_nnf_text)
-from nnfopt import NnfCircuit, optimize, weights_from_profits
+from nnfopt import (CnfVariable, CompileConfig, NnfCircuit, compile_instance,
+                    counting_transform, gen_labs, knapsack_transform, optimize,
+                    parse_instance, restrict_cardinality, weights_from_profits)
 from nnfopt.circuit import AND, LIT, OR, SELECTOR, check_normalized
 from nnfopt.maxplus import WeightFunction
+from nnfopt.transforms import CardinalitySpec
+from record_kids_reference import record_kids_reference
 
 
 def rows_of(c):
@@ -467,3 +471,66 @@ class TestLiteralBlocks:
         rep = check_structure(split)
         assert rep.decomposable and rep.deterministic and rep.smooth
         assert evaluate(split, {"a": 0, "b": 1}) and not evaluate(split, {"a": 0, "b": 0})
+
+
+class TestRecordKidsReference:
+    # the per-bit tables expand every block as the frozen reference does
+
+    def same(self, c):
+        assert c.record_kids == record_kids_reference(c)
+
+    def test_corpus_circuits(self):
+        for c in circuit_corpus(random.Random(90), count=40):
+            self.same(c)
+            self.same(from_nnf_text(to_nnf_text(c), c.variables))
+
+    def test_compiled_circuits_with_shuffled_hints(self):
+        rng = random.Random(91)
+        formulas = [encode_basic(random_instance(rng, max_v=8, max_e=8, max_deg=3))
+                    for _ in range(30)]
+        formulas.append(encode_basic(parse_instance(gen_labs(8, 3)).instance))
+        permuted = 0
+        for f in formulas:
+            hint = list(f.variables)
+            rng.shuffle(hint)
+            c = compile_formula(f, CompileConfig(order_hint=hint))
+            permuted += c.bit_variables != c.variables
+            self.same(c)
+            self.same(normalize_for_extform(c))
+        assert permuted >= 25
+
+    def test_normal_forms_and_transforms(self):
+        rng = random.Random(92)
+        for _ in range(20):
+            inst = random_instance(rng, max_v=6, max_e=6, max_deg=3)
+            c = compile_instance(inst)
+            x = tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
+            sums = frozenset(rng.sample(range(len(x) + 1), rng.randint(1, len(x) + 1)))
+            coeffs = {v: rng.randint(-2, 3) for v in x}
+            self.same(counting_transform(c, x)[0])
+            for t in (c, restrict_cardinality(c, CardinalitySpec(x, sums)),
+                      knapsack_transform(c, coeffs, -1, 2)):
+                for form in (t, normalize_for_extform(t), smooth_binary_form(t)):
+                    self.same(form)
+
+    @pytest.mark.parametrize("pos, neg, expected", [
+        ([0, 2, 1, 3], [2, 0, 0, 2], (0, 1, 2)),    # ~a made before a
+        ([2, 0, 1, 3], [0, 2, 0, 2], (0, 1, 2)),    # a made before ~a
+    ])
+    def test_clash_block_orders_both_literals_by_node(self, pos, neg, expected):
+        # bit 0 is b and bit 1 is a; the block holds a, ~a and b
+        c = NnfCircuit(("a", "b"), ("b", "a"),
+                       ([LIT, LIT, LIT, AND], [(), (), (), ()], pos, neg), 3)
+        assert c.record_kids[3] == record_kids_reference(c)[3] == expected
+
+    def test_first_literal_node_wins(self):
+        # nodes 1 and 3 are both a; the block {a, b} and its child read node 1
+        c = NnfCircuit(("a", "b"), ("a", "b"),
+                       ([LIT, LIT, LIT, LIT, AND], [(), (), (), (), (3,)],
+                        [0, 1, 2, 1, 3], [1, 0, 0, 0, 0]), 4)
+        assert c.record_kids[4] == record_kids_reference(c)[4] == (1, 2, 3)
+
+    def test_block_literal_without_a_node_is_refused(self):
+        c = NnfCircuit(("a", "b"), ("a", "b"), ([LIT, AND], [(), ()], [1, 3], [0, 0]), 1)
+        with pytest.raises(ValueError, match="And node 1 holds a literal that has no literal node"):
+            c.record_kids

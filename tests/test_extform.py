@@ -8,6 +8,7 @@ import pytest
 
 from corpus import (circuit_corpus, corpus_instance, fig_ddnnf, multilinear_set,
                     worked_example)
+from extform_reference import dual_optimize_reference
 from nnfopt import (CapExceeded, CircuitBuilder, LinearSystem, Row, build_system,
                     certificate_point, certificate_tree_cost, compile_formula,
                     compile_instance, dual_optimize, encode_basic,
@@ -16,7 +17,7 @@ from nnfopt import (CapExceeded, CircuitBuilder, LinearSystem, Row, build_system
                     parse_instance, restrict_cardinality, to_lp_text, tu_counterexample_check, validate_certificate,
                     weight_edge_costs, weights_from_profits)
 from nnfopt.cnf import CnfVariable, instance_variables
-from nnfopt.extform import _determinant, non_tu_witness_circuit
+from nnfopt.extform import _determinant, _lp_number, non_tu_witness_circuit
 from nnfopt.maxplus import WeightFunction
 from nnfopt.transforms import CardinalitySpec
 
@@ -335,6 +336,54 @@ class TestDualOptimize:
         with pytest.raises(ValueError, match="infeasible"):
             dual_optimize(c, {})
 
+    def test_assignment_equals_the_reference_dict(self):
+        # same keys in the same order, same values of the same types: int
+        # for integer costs, Fraction for rational ones
+        rng = random.Random(53)
+        cases = 0
+        for c in normalized_corpus(rng, count=8):
+            if not c.record_kids[c.output]:
+                continue
+            edges = range(c.edge_count)
+            for cost in ({}, {e: rng.randint(-7, 7) for e in edges},
+                         {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in edges}):
+                value, z = dual_optimize(c, cost)
+                ref_value, ref = dual_optimize_reference(c, cost)
+                assert (value, type(value)) == (ref_value, type(ref_value))
+                assert len(z) == len(ref) and list(z) == list(ref)
+                assert [(v, type(v)) for v in z.values()] == [(v, type(v)) for v in ref.values()]
+                assert z == ref and dict(z) == ref
+                cases += 1
+        assert cases >= 24
+
+    def test_assignment_lacks_what_the_reference_dict_lacks(self, monkeypatch):
+        # a childless Or that the output does not reach, outside the normal
+        # form, so its check is off for both duals
+        import extform_reference
+        import nnfopt.extform as extform_module
+        for module in (extform_module, extform_reference):
+            monkeypatch.setattr(module, "check_normalized", lambda c, require_smooth: None)
+        b = CircuitBuilder(("a", "b"))
+        a, na, nb = b.literal("a", True), b.literal("a", False), b.literal("b", False)
+        false = b.false()
+        both = b.add_and((a, nb))
+        c = b.finish(b.add_or((both, b.add_and((na, nb))), "a"))
+        cost = {e: e + 1 for e in range(c.edge_count)}
+        value, z = dual_optimize(c, cost)
+        assert (value, z) == dual_optimize_reference(c, cost)
+        n, m = c.node_count, c.edge_count
+        missing = [("or", false), ("or", a), ("or", both), ("and", c.output, 0),
+                   ("and", both, 2), ("and", both, -1), ("and", both, m), ("and", both),
+                   ("or", c.output, 0), ("x", c.output), ("or", -1), ("or", -n), ("and", -3, 0),
+                   ("or", n), ("or", c.output + 0.5), ("or", str(c.output)), ("or", None),
+                   ("and", both, 0.5), "or", c.output]
+        ref = dual_optimize_reference(c, cost)[1]
+        for key in missing:
+            assert key not in ref
+            assert key not in z and z.get(key) is None
+            with pytest.raises(KeyError):
+                z[key]
+
 
 class TestLpExport:
     def test_deterministic_and_sections(self):
@@ -359,6 +408,13 @@ class TestLpExport:
         system = build_system(c, include_x=True)
         with pytest.raises(ValueError, match="decimal"):
             to_lp_text(system, {("x", "x"): Fraction(1, 3)})
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(-1, 20), "-0.05"), (Fraction(-1, 2), "-0.5"), (Fraction(-3, 2), "-1.5"),
+        (Fraction(-21, 4), "-5.25"), (Fraction(1, 20), "0.05"), (-7, "-7")])
+    def test_lp_number_keeps_the_sign_outside_the_padding(self, value, text):
+        assert _lp_number(value) == text
+        assert Fraction(text) == value
 
 
 class TestConstrainedHull:

@@ -53,3 +53,29 @@ def test_bench_topk_writes_and_merges(tmp_path):
     # sizes and answers repeat exactly from run to run
     assert {k: {f: r[f] for f in ("nodes", "edges", "answers_sha256")} for k, r in first.items()} \
         == {k: {f: r[f] for f in ("nodes", "edges", "answers_sha256")} for k, r in second.items()}
+
+
+def test_bench_extform_writes_and_merges(tmp_path):
+    # one pass over labs-dense's four items; the run merges into a file
+    # that holds another run and a stale copy of its own label
+    out = tmp_path / "extform.json"
+    out.write_text(json.dumps({"runs": {"other": {"seed": 9}, "new": {"seed": 9}}}),
+                   encoding="utf-8")
+    proc = run_script("bench_extform.py", "--label", "new", "--out", str(out),
+                      "--probe-seconds", "0", "--workloads", "labs-dense")
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert runs["other"] == {"seed": 9}
+    run = runs["new"]
+    assert (run["seed"], run["probe_seconds"]) == (1, 0.0)
+    assert sorted(run["workloads"]) == ["labs-dense"]
+    row = run["workloads"]["labs-dense"]
+    assert row["query_circuits"] == 1
+    assert sorted(row["stage_min_ms"]) == sorted(
+        ["normalize", "build_system", "weight_edge_costs", "dual_optimize"])
+    assert all(ms > 0 for ms in row["stage_min_ms"].values())
+    # one pass: each of the four items runs every query path
+    paths = row["full_collections"]
+    assert {"solve", "topk", "card", "knapsack", "extform"} <= paths.keys()
+    assert paths["solve"]["calls"] == 4
+    assert all(p["calls"] >= 4 and p["collections"] >= 0 for p in paths.values())
