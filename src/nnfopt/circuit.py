@@ -289,8 +289,14 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     ValueError.
 
     One pass over variable masks; fixed values are tracked as two masks
-    over the decision variables, and a child's masks are dropped once its
-    last parent has read them.  Circuits are immutable, so the report is
+    over the decision variables.  A fixed variable is a mentioned one, so
+    an And whose block and children mention pairwise disjoint variables
+    fixes exactly what they fix together; only where two of them overlap
+    (which already breaks decomposability) does the pass record the
+    overlapping variables that some part leaves unfixed.  An Or is
+    smooth when each child mentions what its first child does.  A
+    child's masks are dropped as soon as its last parent has read them,
+    found by counting parents.  Circuits are immutable, so the report is
     computed on the first call for a circuit and kept on it.
     """
     rep = c.__dict__.get("_structure")
@@ -310,50 +316,52 @@ def check_structure(c: NnfCircuit) -> StructureReport:
     decomposable = smooth = deterministic = True
     for nid, (kind, ks, a, b) in enumerate(zip(kinds, kids, pos, neg)):
         if kind != OR:
-            m = a | b
-            clash = a & b
-            if clash:
-                decomposable = False
-            x1, x0 = a & dmask, b & dmask
-            if not (ks or clash):
+            m, x1, x0 = a | b, a & dmask, b & dmask
+            if not ks and not a & b:
                 vm[nid], f1[nid], f0[nid] = m, x1, x0
                 continue
-            not1, not0 = x0, x1
+            # overlapping variables that not every part fixes to 1 (to 0)
+            not1 = not0 = a & b
             for ch in ks:
                 cm = vm[ch]
                 if m & cm:
-                    decomposable = False
+                    o = m & cm
+                    not1 |= o ^ (o & x1 & f1[ch])
+                    not0 |= o ^ (o & x0 & f0[ch])
                 m |= cm
-                c1, c0, cd = f1[ch], f0[ch], cm & dmask
-                x1 |= c1
-                x0 |= c0
-                not1 |= cd ^ c1     # fixed variables are mentioned ones
-                not0 |= cd ^ c0
-                refs[ch] -= 1
-                if not refs[ch]:
+                x1 |= f1[ch]
+                x0 |= f0[ch]
+                r = refs[ch] - 1
+                refs[ch] = r
+                if not r:
                     vm[ch] = f1[ch] = f0[ch] = 0
-            vm[nid], f1[nid], f0[nid] = m, x1 ^ (x1 & not1), x0 ^ (x0 & not0)
-        else:
-            m = 0
-            x1 = x0 = dmask if ks else 0
-            for ch in ks:
-                m |= vm[ch]
-                x1 &= f1[ch]
-                x0 &= f0[ch]
-            if len(ks) > 1:
+            if not1 or not0:
+                decomposable = False
+                x1 ^= x1 & not1
+                x0 ^= x0 & not0
+            vm[nid], f1[nid], f0[nid] = m, x1, x0
+        elif ks:
+            if len(ks) > 1 and a != SELECTOR:
                 if a is None:
                     deterministic = False
-                elif a != SELECTOR:
+                else:
                     d = dbit[a]
                     if len(ks) != 2 or not (
                             (f0[ks[0]] & d and f1[ks[1]] & d)
                             or (f1[ks[0]] & d and f0[ks[1]] & d)):
                         deterministic = False
+            k = ks[0]
+            m, x1, x0 = vm[k], f1[k], f0[k]
             for ch in ks:
-                if vm[ch] != m:
+                cm = vm[ch]
+                if cm != m:
                     smooth = False
-                refs[ch] -= 1
-                if not refs[ch]:
+                    m |= cm
+                x1 &= f1[ch]
+                x0 &= f0[ch]
+                r = refs[ch] - 1
+                refs[ch] = r
+                if not r:
                     vm[ch] = f1[ch] = f0[ch] = 0
             vm[nid], f1[nid], f0[nid] = m, x1, x0
     c._structure = StructureReport(decomposable, deterministic, smooth)

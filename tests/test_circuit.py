@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import (FIG_DDNNF_ROWS, all_assignments, circuit_corpus, fig_ddnnf,
-                    random_formula, random_instance, reachable, sat_assignments,
-                    variable_sets, worked_example)
+from corpus import (FIG_DDNNF_ROWS, all_assignments, circuit_corpus, corpus_instance,
+                    fig_ddnnf, random_formula, random_instance, reachable,
+                    sat_assignments, variable_sets, worked_example)
+from families import intervals
 from nnfopt import (CapExceeded, CircuitBuilder, CnfFormula, check_structure,
                     compile_formula, encode_basic, enumerate_models, evaluate,
                     from_nnf_text, model_count, normalize_for_extform, reroot,
@@ -20,6 +21,7 @@ from nnfopt.circuit import AND, LIT, OR, SELECTOR, check_normalized
 from nnfopt.maxplus import WeightFunction
 from nnfopt.transforms import CardinalitySpec
 from record_kids_reference import record_kids_reference
+from structure_reference import check_structure_reference
 
 
 def rows_of(c):
@@ -534,3 +536,115 @@ class TestRecordKidsReference:
         c = NnfCircuit(("a", "b"), ("a", "b"), ([LIT, AND], [(), ()], [1, 3], [0, 0]), 1)
         with pytest.raises(ValueError, match="And node 1 holds a literal that has no literal node"):
             c.record_kids
+
+
+def structure_or_error(check, c):
+    # each check caches its report on the circuit, so clear it around the call
+    c.__dict__.pop("_structure", None)
+    try:
+        return check(c)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    finally:
+        c.__dict__.pop("_structure", None)
+
+
+def random_rule_breaker(rng):
+    """A hand-written circuit over 1-4 variables that may break any rule
+    check_structure judges: clash blocks, overlapping or repeated And
+    children, Ors marked None, SELECTOR, a bit its children may not fix or
+    one outside the universe, with one to three children, repeated ones,
+    non-smooth ones, empty gates, and nodes after the output."""
+    n = rng.randint(1, 4)
+    names = tuple(f"v{i}" for i in range(n))
+    bits = list(names)
+    rng.shuffle(bits)
+    kinds, kids, pos, neg = [], [], [], []
+
+    def add(kind, ks, a, b):
+        kinds.append(kind)
+        kids.append(tuple(ks))
+        pos.append(a)
+        neg.append(b)
+        return len(kinds) - 1
+
+    lits = [[add(LIT, (), 1 << i, 0), add(LIT, (), 0, 1 << i)] for i in range(n)]
+    for _ in range(rng.randint(1, 10)):
+        roll = rng.random()
+        made = len(kinds)
+        if roll < 0.35:
+            # a decision Or: x and ~x, each under an And with a random
+            # sibling on either side
+            i = rng.randrange(n)
+            branches = [add(AND, rng.sample((lits[i][s], rng.randrange(made)), 2), 0, 0)
+                        for s in (0, 1)]
+            rng.shuffle(branches)
+            marker = rng.choice([i] * 6 + [None, SELECTOR, rng.randrange(n)])
+            add(OR, branches, marker, 0)
+        elif roll < 0.65:
+            ks = [rng.randrange(made) for _ in range(rng.randint(0, 3))]
+            add(AND, ks, rng.randrange(1 << n), rng.randrange(1 << n) if rng.random() < 0.3 else 0)
+        else:
+            ks = [rng.randrange(made) for _ in range(rng.randint(0, 3))]
+            marker = rng.choice([None, SELECTOR, rng.randrange(n), rng.randrange(n)])
+            if rng.random() < 0.03:
+                marker = rng.choice([n, -2, 7])
+            add(OR, ks, marker, 0)
+    output = len(kinds) - 1 - (rng.randrange(3) if rng.random() < 0.2 else 0)
+    return NnfCircuit(names, bits, (kinds, kids, pos, neg), max(output, 0))
+
+
+class TestStructureReference:
+    # the lean pass reports what the frozen reference does, or raises its error
+
+    def same(self, c):
+        got = structure_or_error(check_structure, c)
+        assert got == structure_or_error(check_structure_reference, c)
+        return got
+
+    def test_corpus_circuits_and_their_forms(self):
+        rng = random.Random(20250809)
+        for _ in range(500):
+            inst = corpus_instance(rng)
+            c = compile_instance(inst)
+            x = tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
+            sums = frozenset(rng.sample(range(len(x) + 1), rng.randint(1, len(x) + 1)))
+            coeffs = {v: rng.randint(-3, 3) for v in x}
+            for form in (c, restrict_cardinality(c, CardinalitySpec(x, sums)),
+                         knapsack_transform(c, coeffs, -1, 2), counting_transform(c, x)[0],
+                         normalize_for_extform(c)):
+                assert self.same(form).decomposable
+
+    def test_compiled_labs_and_intervals(self):
+        insts = [parse_instance(gen_labs(n, 3)).instance for n in range(8, 13)]
+        insts += [intervals(n, s) for n in (6, 40, 160) for s in range(3)]
+        for inst in insts:
+            rep = self.same(compile_instance(inst))
+            assert rep.decomposable and rep.deterministic
+
+    def test_random_rule_breakers(self):
+        rng = random.Random(22)
+        seen = set()
+        for _ in range(600):
+            rep = self.same(random_rule_breaker(rng))
+            seen.add(rep if isinstance(rep, str) else
+                     (rep.decomposable, rep.deterministic, rep.smooth))
+        # every verdict of each rule shows up, and the bad markers are refused
+        assert {(d, e, s) for d in (True, False) for e in (True, False)
+                for s in (True, False)} <= seen
+        assert any(isinstance(r, str) for r in seen)
+
+    def test_memory_peak_within_the_reference(self):
+        # a child's masks are freed after its last parent: a pass that
+        # keeps them all reads about 4x the reference's peak here
+        c = compile_instance(parse_instance(gen_labs(14, 3)).instance)
+        peaks = []
+        for check in (check_structure_reference, check_structure):
+            c.__dict__.pop("_structure", None)
+            tracemalloc.start()
+            try:
+                check(c)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]

@@ -79,3 +79,30 @@ def test_bench_extform_writes_and_merges(tmp_path):
     assert {"solve", "topk", "card", "knapsack", "extform"} <= paths.keys()
     assert paths["solve"]["calls"] == 4
     assert all(p["calls"] >= 4 and p["collections"] >= 0 for p in paths.values())
+
+
+def test_bench_structure_writes_and_merges(tmp_path):
+    out = tmp_path / "structure.json"
+    for label, args in (("first", ["--workloads", "beta-intervals", "--labs", "8"]),
+                        ("second", ["--workloads", "--labs", "8"]),
+                        ("second", ["--workloads", "beta-intervals", "--labs"])):
+        proc = run_script("bench_structure.py", "--label", label, "--out", str(out), *args)
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert sorted(runs) == ["first", "second"]
+    # a run merges into its label workload by workload and case by case
+    first, second = runs["first"], runs["second"]
+    assert sorted(first["workloads"]) == sorted(second["workloads"]) == ["beta-intervals"]
+    assert sorted(first["labs"]) == sorted(second["labs"]) == ["gen-labs 8 3"]
+    row = first["workloads"]["beta-intervals"]
+    assert sorted(row) == ["compiled", "knapsack", "normal", "restricted"]
+    assert row["compiled"]["circuits"] == 60 and row["knapsack"]["check_ms"] > 0
+    assert first["labs"]["gen-labs 8 3"]["peak_mb"] > 0
+    # sizes repeat exactly from run to run
+
+    def sizes(run):
+        return ({k: (r["circuits"], r["nodes"], r["edges"])
+                 for k, r in run["workloads"]["beta-intervals"].items()},
+                {k: (r["nodes"], r["edges"]) for k, r in run["labs"].items()})
+
+    assert sizes(first) == sizes(second)

@@ -9,7 +9,7 @@ from pathlib import Path
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nnfopt").glob("*.py"))
 
 
-def test_no_assert_statements():
+def test_no_assert_statements_in_src():
     # python -O strips assert statements, and the library's checks must
     # survive it; raise an exception instead
     assert SOURCES
