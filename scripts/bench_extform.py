@@ -15,9 +15,6 @@ query circuit as the benchmark does, then:
     generation-2 collections and their seconds by the query path that was
     running when each one fell due.
 
-Results are merged into the JSON file under --label, so the numbers of
-two checkouts sit side by side:
-
     PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python3 scripts/bench_extform.py --label NAME
 """
 
@@ -25,23 +22,17 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
 import sys
 import time
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import oracle      # noqa: E402  (perfbench modules, importable once the path is set)
-import pipeline    # noqa: E402
-import spans       # noqa: E402
-import worker      # noqa: E402
-import workloads   # noqa: E402
-from bench_order import machine  # noqa: E402
-from nnfopt import (build_system, dual_optimize, normalize_for_extform,  # noqa: E402
-                    weight_edge_costs)
+from benchlib import machine, recorder  # first: it sets the path
+import oracle      # perfbench modules
+import pipeline
+import spans
+import worker
+import workloads
+from nnfopt import build_system, dual_optimize, normalize_for_extform, weight_edge_costs
 
 SEED = 1
 REPEAT = 7
@@ -151,20 +142,11 @@ def main(argv=None) -> int:
                     help="workloads to measure (default: all of %(choices)s)")
     args = ap.parse_args(argv)
 
-    run = {"machine": machine(), "seed": SEED, "repeat": REPEAT,
-           "probe_seconds": args.probe_seconds, "workloads": {}}
+    add = recorder(args.out, args.label, machine=machine(), seed=SEED, repeat=REPEAT,
+                   probe_seconds=args.probe_seconds)
     for name in args.workloads:
-        run["workloads"][name] = row = measure(name, args.probe_seconds)
+        row = add("workloads", name, measure(name, args.probe_seconds))
         print(f"{name}: {row['stage_min_ms']}", file=sys.stderr)
-
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data.setdefault("runs", {})[args.label] = run
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return 0
 
 

@@ -8,12 +8,8 @@ decomposition width and a SHA-256 of the branch order, so two runs can
 be checked to order identically.  The composed hint must equal
 encode_instance's own.
 
-Instances: gen-labs n 3 for n = 12, 14, 16, and the cycle of triples
-{i, i+1, i+2} (indices mod n) over n vertices under a seeded shuffle of
-the labels, for n = 300 and 600.
-
-Results are merged into the JSON file under --label, so the numbers of
-two checkouts sit side by side:
+Instances: gen-labs n 3 for n = 12, 14, 16, and
+``families.shuffled_cycle_of_triples(n, n)`` for n = 300 and 600.
 
     PYTHONPATH=<checkout>/src python3 scripts/bench_order.py --label NAME
 """
@@ -22,36 +18,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
-import platform
-import random
 import statistics
 import sys
 import time
-from fractions import Fraction
 
-from nnfopt import (Hypergraph, LiteralInstance, beta_elimination_order, encode_basic,
-                    encode_instance, formula_incidence_graph, gen_labs,
-                    minfill_decomposition, order_from_decomposition, parse_instance)
+from benchlib import cases, machine, recorder
+from nnfopt import (LiteralInstance, beta_elimination_order, encode_basic, encode_instance,
+                    formula_incidence_graph, minfill_decomposition, order_from_decomposition)
 
 REPEAT = 5
-
-
-def shuffled_cycle_of_triples(n: int, seed: int) -> LiteralInstance:
-    rng = random.Random(seed)
-    label = list(range(n))
-    rng.shuffle(label)
-    edges = [{label[i], label[(i + 1) % n], label[(i + 2) % n]} for i in range(n)]
-    profit = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in edges]
-    return LiteralInstance.plain(Hypergraph(range(n), edges), profit)
-
-
-def instances():
-    for n in (12, 14, 16):
-        yield f"gen-labs {n} 3", parse_instance(gen_labs(n, 3)).instance
-    for n in (300, 600):
-        yield f"shuffled cycle of triples n={n}", shuffled_cycle_of_triples(n, seed=n)
 
 
 def timed(fn, *args):
@@ -90,40 +65,19 @@ def measure(inst: LiteralInstance) -> dict:
     }
 
 
-def machine() -> dict:
-    model = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            model = next((ln.split(":", 1)[1].strip() for ln in fh
-                          if ln.startswith("model name")), model)
-    except OSError:
-        pass
-    return {"python": platform.python_version(), "platform": platform.platform(),
-            "cpu": model, "cpus": os.cpu_count()}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_order.json")
     args = ap.parse_args(argv)
 
-    run = {"machine": machine(), "repeat": REPEAT, "instances": {}}
-    for name, inst in instances():
-        run["instances"][name] = row = measure(inst)
+    add = recorder(args.out, args.label, machine=machine(), repeat=REPEAT)
+    for name, inst in cases(labs=(12, 14, 16), cycles=(300, 600)):
+        row = add("instances", name, measure(inst))
         sec = row["seconds"]
         print(f"{name}: {row['graph_nodes']} nodes, width {row['width']}, "
               f"min-fill {sec['minfill']['median']:.3f} s, "
               f"encode_instance {sec['encode_instance']['median']:.3f} s", file=sys.stderr)
-
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data.setdefault("runs", {})[args.label] = run
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return 0
 
 

@@ -13,31 +13,21 @@ Then for gen-labs n 3, n in --labs, it records the compiled circuit's
 size, the minimum of REPEAT checks in seconds and the tracemalloc peak of
 one check in MB.
 
-Results are merged into the JSON file under --label, workload by workload
-and case by case, so the numbers of two checkouts sit side by side:
-
     PYTHONHASHSEED=0 PYTHONPATH=<checkout>/src python3 scripts/bench_structure.py --label NAME
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import time
 import tracemalloc
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import pipeline    # noqa: E402  (perfbench modules, importable once the path is set)
-import spans       # noqa: E402
-import workloads   # noqa: E402
-from bench_order import machine  # noqa: E402
-from nnfopt import (CardinalitySpec, check_structure, compile_instance, gen_labs,  # noqa: E402
-                    knapsack_transform, normalize_for_extform, parse_instance,
-                    restrict_cardinality)
+from benchlib import best_of, cases, machine, recorder  # first: it sets the path
+import pipeline    # perfbench modules
+import spans
+import workloads
+from nnfopt import (CardinalitySpec, check_structure, compile_instance, knapsack_transform,
+                    normalize_for_extform, restrict_cardinality)
 
 SEED = 1
 REPEAT = 7
@@ -45,13 +35,8 @@ KINDS = ("compiled", "restricted", "knapsack", "normal")
 
 
 def best_check(c) -> float:
-    best = float("inf")
-    for _ in range(REPEAT):
-        c.__dict__.pop("_structure", None)
-        t0 = time.perf_counter()
-        check_structure(c)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return best_of(REPEAT, check_structure, c,
+                   before=lambda: c.__dict__.pop("_structure", None))[0]
 
 
 def workload_circuits(name: str) -> dict:
@@ -88,8 +73,8 @@ def measure_workload(name: str) -> dict:
     return row
 
 
-def measure_labs(n: int) -> dict:
-    c = compile_instance(parse_instance(gen_labs(n, 3)).instance)
+def measure_labs(inst) -> dict:
+    c = compile_instance(inst)
     seconds = best_check(c)
     c.__dict__.pop("_structure", None)
     tracemalloc.start()
@@ -113,21 +98,11 @@ def main(argv=None) -> int:
                     metavar="N", help="gen-labs N 3 cases (default: %(default)s)")
     args = ap.parse_args(argv)
 
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            data = json.load(fh)
-    run = data.setdefault("runs", {}).setdefault(args.label, {})
-    run.update({"machine": machine(), "seed": SEED, "repeat": REPEAT})
-    cases = [("workloads", name, measure_workload) for name in args.workloads]
-    cases += [("labs", f"gen-labs {n} 3", lambda _name, n=n: measure_labs(n))
-              for n in args.labs]
-    for section, name, measure in cases:
-        run.setdefault(section, {})[name] = row = measure(name)
-        print(f"{name}: {row}", file=sys.stderr)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    add = recorder(args.out, args.label, machine=machine(), seed=SEED, repeat=REPEAT)
+    for name in args.workloads:
+        print(f"{name}: {add('workloads', name, measure_workload(name))}", file=sys.stderr)
+    for name, inst in cases(labs=args.labs):
+        print(f"{name}: {add('labs', name, measure_labs(inst))}", file=sys.stderr)
     return 0
 
 

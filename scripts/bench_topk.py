@@ -11,10 +11,6 @@ circuit's structure report cached, as on the CLI's second query.
 Cases: gen-labs n 3 for n in --labs, and ``families.intervals(n, 0)``
 (beta-acyclic, so the ordered encoding) for n in --intervals.
 
-Results are merged into the JSON file under --label, case by case, so the
-numbers of two checkouts sit side by side and runs of the two can
-alternate one case at a time:
-
     PYTHONPATH=<checkout>/src python3 scripts/bench_topk.py --label NAME
 """
 
@@ -22,38 +18,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
 import sys
-import time
-from pathlib import Path
 
-from nnfopt import (compile_instance, gen_labs, optimize, parse_instance, top_k,
-                    weights_from_profits)
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-from bench_order import machine  # noqa: E402
-from families import intervals  # noqa: E402
+from benchlib import best_of, cases, machine, recorder
+from nnfopt import compile_instance, optimize, top_k, weights_from_profits
 
 REPEAT = 3
 KS = (1, 10, 100)
-
-
-def cases(labs_ns, interval_ns):
-    for n in labs_ns:
-        yield f"gen-labs {n} 3", parse_instance(gen_labs(n, 3)).instance
-    for n in interval_ns:
-        yield f"intervals n={n}", intervals(n, 0)
-
-
-def best_of(fn, *args):
-    best = float("inf")
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, out
 
 
 def measure(inst) -> dict:
@@ -65,11 +36,11 @@ def measure(inst) -> dict:
     def answer(assignment, value):
         return "".join(str(assignment[v]) for v in c.variables), str(value)
 
-    seconds, opt = best_of(optimize, c, w)
+    seconds, opt = best_of(REPEAT, optimize, c, w)
     row = {"optimize": round(seconds, 4)}
     digest.update(repr(answer(opt.witness, opt.value)).encode())
     for k in KS:
-        seconds, best = best_of(top_k, c, w, k)
+        seconds, best = best_of(REPEAT, top_k, c, w, k)
         row[f"top_k k={k}"] = round(seconds, 4)
         digest.update(repr([answer(a, value) for a, value in best]).encode())
     return {"nodes": c.node_count, "edges": c.edge_count,
@@ -86,20 +57,12 @@ def main(argv=None) -> int:
                     metavar="N", help="interval cases (default: %(default)s)")
     args = ap.parse_args(argv)
 
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            data = json.load(fh)
-    run = data.setdefault("runs", {}).setdefault(args.label, {})
-    run.update({"machine": machine(), "repeat": REPEAT})
-    for name, inst in cases(args.labs, args.intervals):
-        run.setdefault("cases", {})[name] = row = measure(inst)
+    add = recorder(args.out, args.label, machine=machine(), repeat=REPEAT)
+    for name, inst in cases(labs=args.labs, intervals=args.intervals):
+        row = add("cases", name, measure(inst))
         sec = row["seconds"]
         print(f"{name}: {row['nodes']} nodes, optimize {sec['optimize']:.3f} s, "
               + ", ".join(f"k={k} {sec[f'top_k k={k}']:.3f} s" for k in KS), file=sys.stderr)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Seeded instance families shared by the tests and the scripts.
 
-Both families are interval hypergraphs on a path of vertices, so they are
-beta-acyclic and the auto pipeline takes the ordered encoding.
+The interval families are hypergraphs on a path of vertices, so they are
+beta-acyclic and the auto pipeline takes the ordered encoding; the
+shuffled cycle of triples is not, so it takes the basic encoding.
 """
 
 import random
@@ -23,6 +24,18 @@ def intervals(n: int, seed: int) -> LiteralInstance:
         sigma.append({v: rng.randint(0, 1) for v in edge})
         profit.append(Fraction(rng.choice([i for i in range(-9, 10) if i])))
     return LiteralInstance(Hypergraph(range(n), edges), tuple(sigma), tuple(profit))
+
+
+def shuffled_cycle_of_triples(n: int, seed: int) -> LiteralInstance:
+    """The n triples {i, i+1, i+2} (indices mod n) of a cycle over n
+    vertices under a seeded shuffle of the labels, each a plain monomial
+    with a profit in {-3, -2, -1, 1, 2, 3}."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [{label[i], label[(i + 1) % n], label[(i + 2) % n]} for i in range(n)]
+    profit = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in edges]
+    return LiteralInstance.plain(Hypergraph(range(n), edges), profit)
 
 
 def interval_instance(rng, n: int = 16, count: int = 30):
