@@ -9,9 +9,11 @@ be checked to order identically.  The composed hint must equal
 encode_instance's own.
 
 Instances: gen-labs n 3 for n = 12, 14, 16, and
-``families.shuffled_cycle_of_triples(n, n)`` for n = 300 and 600.
+``families.shuffled_cycle_of_triples(n, n)`` for n = 300 and 600, or
+those that ``--labs`` and ``--cycles`` name.
 
-    PYTHONPATH=<checkout>/src python3 scripts/bench_order.py --label NAME
+    PYTHONPATH=<checkout>/src python3 scripts/bench_order.py --label NAME \
+        [--labs N ...] [--cycles N ...]
 """
 
 from __future__ import annotations
@@ -69,10 +71,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_order.json")
+    ap.add_argument("--labs", type=int, nargs="*", default=[12, 14, 16],
+                    metavar="N", help="gen-labs N 3 cases (default: %(default)s)")
+    ap.add_argument("--cycles", type=int, nargs="*", default=[300, 600],
+                    metavar="N", help="shuffled-cycle cases (default: %(default)s)")
     args = ap.parse_args(argv)
 
     add = recorder(args.out, args.label, machine=machine(), repeat=REPEAT)
-    for name, inst in cases(labs=(12, 14, 16), cycles=(300, 600)):
+    for name, inst in cases(labs=args.labs, cycles=args.cycles):
         row = add("instances", name, measure(inst))
         sec = row["seconds"]
         print(f"{name}: {row['graph_nodes']} nodes, width {row['width']}, "

@@ -55,7 +55,10 @@ class CnfFormula:
 
     Clauses are stored as sorted literal tuples; each clause carries a
     provenance tag ('R', edge) or ('L', edge, vertex) when it came from an
-    encoder, or None otherwise.
+    encoder, or None otherwise.  ``numbered`` holds the same clauses in
+    DIMACS numbers (variable i counted from 1, negative when negated),
+    literal for literal, computed once here for to_dimacs, the incidence
+    graph and the compiler.
     """
 
     def __init__(self, variables: Sequence[CnfVariable],
@@ -65,7 +68,7 @@ class CnfFormula:
         self._varnum = varnum = {v: i + 1 for i, v in enumerate(self.variables)}
         if len(varnum) != len(self.variables):
             raise ValueError("duplicate variable declaration")
-        normalized = []
+        normalized, numbered = [], []
         for cl in clauses:
             # undeclared variables sort first, so the loop reports them
             lits = sorted(set(cl), key=lambda l: (varnum.get(l[0], 0), l[1]))
@@ -77,7 +80,9 @@ class CnfFormula:
                     raise ValueError(f"clause contains {var} with both signs")
                 seen[var] = sign
             normalized.append(tuple(lits))
+            numbered.append(tuple(varnum[v] if s else -varnum[v] for v, s in lits))
         self.clauses = tuple(normalized)
+        self.numbered = tuple(numbered)
         self.tags = tuple(tags) if tags is not None else (None,) * len(self.clauses)
         if len(self.tags) != len(self.clauses):
             raise ValueError("one tag per clause required")
@@ -96,8 +101,7 @@ class CnfFormula:
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {len(self.variables)} {len(self.clauses)}"]
-        for cl in self.clauses:
-            nums = [self._varnum[v] if s else -self._varnum[v] for v, s in cl]
+        for nums in self.numbered:
             lines.append(" ".join(str(n) for n in nums) + " 0")
         return "\n".join(lines) + "\n"
 
@@ -107,22 +111,24 @@ def _encode(inst: LiteralInstance, order: Sequence, telescoped: bool) -> CnfForm
     # (with the later vertices' -l_w when telescoped), then y | -l_1 | ... | -l_k.
     h = inst.hypergraph
     rank = {v: i for i, v in enumerate(order)}
+    universe = instance_variables(inst)
+    x = dict(zip(h.vertices, universe))     # one variable per vertex, shared
     clauses = []
     tags = []
     for i, e in enumerate(h.edges):
-        ye = CnfVariable("y", i)
+        ye = universe[len(x) + i]
         sigma = inst.sigma[i]
         verts = sorted(e, key=rank.__getitem__)
-        fails = [(CnfVariable("x", v), not sigma[v]) for v in verts]
+        fails = [(x[v], not sigma[v]) for v in verts]
         for k, v in enumerate(verts):
-            link = [(ye, False), (CnfVariable("x", v), bool(sigma[v]))]
+            link = [(ye, False), (x[v], bool(sigma[v]))]
             if telescoped:
                 link += fails[k + 1:]
             clauses.append(link)
             tags.append(("L", i, v))
         clauses.append([(ye, True)] + fails)
         tags.append(("R", i))
-    return CnfFormula(instance_variables(inst), clauses, tags)
+    return CnfFormula(universe, clauses, tags)
 
 
 def encode_basic(inst: LiteralInstance) -> CnfFormula:
@@ -158,14 +164,9 @@ def formula_hypergraph(f: CnfFormula) -> Hypergraph:
 
 def formula_incidence_graph(f: CnfFormula) -> Graph:
     """Bipartite graph between variables and clauses (clauses by index)."""
-    g = Graph()
-    for var in f.variables:
-        g.add_node(vertex_node(var))
-    for i, cl in enumerate(f.clauses):
-        g.add_node(("c", i))
-        for var, _ in cl:
-            g.add_edge(vertex_node(var), ("c", i))
-    return g
+    nodes = [vertex_node(var) for var in f.variables]
+    return Graph.bipartite(nodes, ((("c", i), [nodes[abs(k) - 1] for k in nums])
+                                   for i, nums in enumerate(f.numbered)))
 
 
 def lift_decomposition(td: TreeDecomposition, h: Hypergraph) -> TreeDecomposition:

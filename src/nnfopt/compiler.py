@@ -127,12 +127,7 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
     # bit i stands for base[i]; clauses keep the formula's variable numbers
     rank = {f.variable_number(v): i for i, v in enumerate(base)}
 
-    def encode_clause(cl):
-        # a clause's literals are stored in variable-number order
-        return tuple(f.variable_number(var) if sign else -f.variable_number(var)
-                     for var, sign in cl)
-
-    canonical = tuple(sorted({encode_clause(cl) for cl in f.clauses}))
+    canonical = tuple(sorted(set(f.numbered)))
 
     def lit_masks(lits):
         p = q = 0
@@ -564,25 +559,23 @@ def order_from_decomposition(td: TreeDecomposition) -> tuple:
     decomposition: variables in order of first bag appearance."""
     if not td._is_tree():
         raise ValueError("bag graph is not a tree")
-    broken = td.disconnected()
-    key = {}    # element -> its repr, which orders each bag
+    if td.disconnected():
+        raise ValueError("decomposition violates connectedness")
+    key = {}    # vertex node not yet emitted -> its repr, which orders each bag
     for el in {x for bag in td.bags.values() for x in bag}:
-        if el in broken:
-            raise ValueError("decomposition violates connectedness")
         if not (isinstance(el, tuple) and len(el) == 2 and el[0] in ("v", "c")):
             raise ValueError("bags must contain incidence-graph nodes")
-        key[el] = repr(el)
+        if el[0] == "v":
+            key[el] = repr(el)
     root = min(td.bags)
     seen_bags = {root}
     stack = [root]
     out = []
-    emitted = set()
     while stack:
         b = stack.pop()
-        for el in sorted(td.bags[b], key=key.__getitem__):
-            if el[0] == "v" and el[1] not in emitted:
-                emitted.add(el[1])
-                out.append(el[1])
+        for el in sorted(key.keys() & td.bags[b], key=key.__getitem__):
+            del key[el]
+            out.append(el[1])
         nxt = sorted(td.tree[b] - seen_bags, reverse=True)
         seen_bags.update(nxt)
         stack.extend(nxt)

@@ -35,6 +35,24 @@ class Graph:
         self._adj[u].add(v)
         self._adj[v].add(u)
 
+    @classmethod
+    def bipartite(cls, left: Sequence, right: Iterable) -> "Graph":
+        """The graph with nodes ``left`` and then the nodes of ``right``, a
+        sequence of (node, its neighbours in left) pairs: what add_node on
+        each left node, then add_node and add_edge per pair, would build."""
+        g = cls()
+        adj = g._adj
+        adj.update((u, set()) for u in left)
+        count = len(left)
+        for node, near in right:
+            adj[node] = near = set(near)
+            count += 1
+            for u in near:
+                adj[u].add(node)
+        if len(adj) != count:
+            raise ValueError("bipartite sides must be distinct nodes")
+        return g
+
     def neighbors(self, n) -> tuple:
         return tuple(sorted(self._adj[n]))
 
@@ -145,6 +163,8 @@ class TreeDecomposition:
         for a, b in tree_edges:
             if a not in self.bags or b not in self.bags:
                 raise ValueError("tree edge mentions unknown bag")
+            if a == b:
+                raise ValueError("tree edge from a bag to itself")
             self.tree[a].add(b)
             self.tree[b].add(a)
 
@@ -370,9 +390,14 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     The width is only an upper bound on the treewidth of g.  Nodes are
     relabeled to integers in sorted order, and the node eliminated next
     is the live one with the least (fill, index).  It comes off a binary
-    heap of (fill, index) entries: an entry is pushed whenever a fill
-    changes, and a popped entry whose node is dead or whose fill is no
-    longer current is skipped.
+    heap of (fill, index) entries that holds only the live nodes whose
+    fill is at most a bound, 2*min + 1 over the live fills when the heap
+    was built: an entry is pushed whenever a fill changes to a value
+    within the bound, and a popped entry whose node is dead or whose fill
+    is no longer current is skipped.  A heap that runs dry is rebuilt from
+    one scan of the live fills, so the bound more than doubles each time,
+    and hubs far above the least fill are not pushed at all.  The loop
+    stops after the last elimination, leaving stale entries unpopped.
 
     Fill stays exact without recounting a neighbourhood.  Each node keeps
     ``inner``, the number of edges among its neighbours, so its fill is
@@ -390,12 +415,15 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     adj = [{index[m] for m in g._adj[n]} for n in names]
     inner = [sum(len(adj[w] & nb) for w in nb) // 2 for nb in adj]
     fill = [len(nb) * (len(nb) - 1) // 2 - e for nb, e in zip(adj, inner)]
-    heap = [(f, u) for u, f in enumerate(fill)]
-    heapify(heap)
     alive = [True] * len(names)
+    heap: list = []
     order: list[int] = []
-    cliques: list[tuple] = []
-    while heap:
+    cliques: list[set] = []
+    while len(order) < len(names):
+        if not heap:
+            bound = 2 * min(f for f, a in zip(fill, alive) if a) + 1
+            heap = [(f, u) for u, f in enumerate(fill) if f <= bound and alive[u]]
+            heapify(heap)
         f, v = heappop(heap)
         if not alive[v] or f != fill[v]:
             continue
@@ -427,9 +455,10 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
                 f = d * (d - 1) // 2 - inner[u]
                 if f != fill[u]:
                     fill[u] = f
-                    heappush(heap, (f, u))
+                    if f <= bound:
+                        heappush(heap, (f, u))
         order.append(v)
-        cliques.append(tuple(sorted(nb)))
+        cliques.append(nb)      # v is dead, so nothing changes adj[v] again
 
     # Bags in reverse elimination order; attach each to the bag of the
     # first-eliminated member of its clique, whose bag must contain it.

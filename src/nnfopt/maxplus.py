@@ -139,8 +139,11 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
     a top-down walk then rebuilds a witness.  Ties between Or children go
     to the first child in declaration order.  The pass runs in integers
     (see _regrets) and reads literal blocks whole.  The witness is
-    checked against the circuit and the weight function on every call;
-    a failed check raises RuntimeError.
+    checked on every call: it must be a model of the circuit, and its
+    weight, summed in the scaled ints of WeightFunction._scaled_ints, must
+    equal the scaled optimum.  That table is trusted here, not checked
+    again against the Fraction weights.  A failed check raises
+    RuntimeError.
     """
     if set(w.universe) != set(c.variables):
         raise ValueError("weight universe must match the circuit universe")
@@ -194,7 +197,8 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
             witness[var] = w.slack_bit(var)
     if not evaluate(c, witness):
         raise RuntimeError("optimum witness is not a model of the circuit")
-    if w.value_of(witness) != value:
+    ints = w._scaled_ints[1]
+    if sum(ints[var][witness[var]] for var in c.variables) != m[c.output]:
         raise RuntimeError("optimum witness does not attain the optimum value")
     return Optimum(value, witness)
 

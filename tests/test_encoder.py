@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import (multilinear_set, worked_example, random_beta_acyclic_instance,
-                    random_instance, sat_assignments)
-from nnfopt import (Hypergraph, LiteralInstance, beta_elimination_order,
+from corpus import (corpus_instance, multilinear_set, worked_example,
+                    random_beta_acyclic_instance, random_formula, random_instance,
+                    sat_assignments)
+from nnfopt import (Graph, Hypergraph, LiteralInstance, beta_elimination_order,
                     encode_basic, encode_ordered, formula_hypergraph,
-                    formula_incidence_graph, is_beta_acyclic)
-from nnfopt.cnf import CnfVariable
+                    formula_incidence_graph, gen_labs, is_beta_acyclic, parse_instance)
+from nnfopt.cnf import CnfFormula, CnfVariable
+from nnfopt.hypergraph import vertex_node
 
 
 def x(v):
@@ -27,6 +29,17 @@ def clause_set(formula):
 
 def lit(var, sign):
     return (var, sign)
+
+
+def corpus_formulas():
+    """200 corpus formulas (basic encodings of acceptance-corpus instances
+    and random formulas), then the basic encodings of gen-labs 8..12 3."""
+    rng = random.Random(2024)
+    for _ in range(100):
+        yield encode_basic(corpus_instance(rng))
+        yield random_formula(rng)
+    for n in range(8, 13):
+        yield encode_basic(parse_instance(gen_labs(n, 3)).instance)
 
 
 WORKED_BASIC = [
@@ -208,6 +221,20 @@ class TestFormulaViews:
         f = CnfFormula([x(1)], [])
         assert formula_incidence_graph(f).edge_count == 0
 
+    def test_incidence_graph_equals_add_edge_build(self):
+        # the graph's adjacency is written directly; node order and
+        # neighbours must be those of add_node/add_edge calls
+        for f in corpus_formulas():
+            want = Graph(vertex_node(var) for var in f.variables)
+            for i, cl in enumerate(f.clauses):
+                want.add_node(("c", i))
+                for var, _ in cl:
+                    want.add_edge(vertex_node(var), ("c", i))
+            got = formula_incidence_graph(f)
+            assert got.nodes == want.nodes
+            assert [got.neighbors(n) for n in got.nodes] == \
+                [want.neighbors(n) for n in want.nodes]
+
 
 class TestDimacs:
     def test_worked_example_header_and_numbering(self):
@@ -222,6 +249,20 @@ class TestDimacs:
         assert f.variable_number(x(6)) == 6
         assert f.variable_number(y(0)) == 7
         assert f.variable_number(y(2)) == 9
+
+    def test_numbered_equals_variable_numbers(self):
+        for f in corpus_formulas():
+            assert f.numbered == tuple(
+                tuple(f.variable_number(var) if sign else -f.variable_number(var)
+                      for var, sign in cl) for cl in f.clauses)
+
+    def test_non_bool_signs_keep_their_literals(self):
+        # signs are kept as given and numbered by their truth value
+        f = CnfFormula([x(1), x(2), x(3)], [[lit(x(3), 1), lit(x(1), 0)], [lit(x(2), None)]])
+        assert f.clauses == (((x(1), 0), (x(3), 1)), ((x(2), None),))
+        assert [[type(s) for _, s in cl] for cl in f.clauses] == [[int, int], [type(None)]]
+        assert f.numbered == ((-1, 3), (-2,))
+        assert f.to_dimacs() == "p cnf 3 2\n-1 3 0\n-2 0\n"
 
     def test_no_tautological_clause_possible(self):
         from nnfopt import CnfFormula

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import sys
+from fractions import Fraction
+from heapq import heapify
 
 import pytest
 
@@ -10,9 +12,9 @@ from corpus import (basic_incidence_graph, corpus_instance, exhaustive_beta_acyc
                     random_beta_acyclic_instance, random_cycle_hypergraph,
                     random_hypergraph, worked_example)
 from minfill_reference import minfill_decomposition_reference
-from nnfopt import (Graph, Hypergraph, TreeDecomposition, beta_elimination_order,
-                    cycle_decomposition, encode_basic, formula_incidence_graph,
-                    gen_labs, incidence_graph, is_beta_acyclic,
+from nnfopt import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
+                    beta_elimination_order, cycle_decomposition, encode_basic,
+                    formula_incidence_graph, gen_labs, incidence_graph, is_beta_acyclic,
                     is_valid_elimination_order, lift_decomposition,
                     minfill_decomposition, order_from_decomposition,
                     parse_instance)
@@ -157,6 +159,32 @@ class TestBetaMatchesReference:
             assert not is_valid_elimination_order(h, order)
 
 
+class TestGraphBipartite:
+    def test_equals_add_edge_build(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            left = [("v", i) for i in rng.sample(range(30), rng.randint(0, 12))]
+            right = [(("c", j), rng.sample(left, rng.randint(0, len(left))))
+                     for j in range(rng.randint(0, 8))]
+            g = Graph(left)
+            for node, near in right:
+                g.add_node(node)
+                for u in near:
+                    g.add_edge(u, node)
+            b = Graph.bipartite(left, right)
+            assert b.nodes == g.nodes
+            assert all(b.neighbors(n) == g.neighbors(n) for n in g.nodes)
+
+    @pytest.mark.parametrize("left, right", [
+        ([1, 1], []),
+        ([1, 2], [(2, [1])]),
+        ([1], [(3, [1]), (3, [])]),
+    ])
+    def test_sides_must_be_distinct_nodes(self, left, right):
+        with pytest.raises(ValueError, match="distinct nodes"):
+            Graph.bipartite(left, right)
+
+
 class TestIncidenceGraph:
     def test_worked_example_counts(self):
         g = incidence_graph(worked_hypergraph())
@@ -253,6 +281,49 @@ def labs_graph(n: int) -> Graph:
     return formula_incidence_graph(encode_basic(parse_instance(gen_labs(n, 3)).instance))
 
 
+def graph_of(edges, label=lambda u: u) -> Graph:
+    g = Graph()
+    for u, v in edges:
+        g.add_edge(label(u), label(v))
+    return g
+
+
+def core_with_tails(k: int, tails, base: int = 0) -> list:
+    """Edges of K_{k,k} on base .. base+2k-1, plus a pendant path of
+    `length` new nodes off core node base+c for each (c, length) in tails."""
+    edges = [(base + a, base + b) for a in range(k) for b in range(k, 2 * k)]
+    nxt = base + 2 * k
+    for c, length in tails:
+        end = base + c
+        for _ in range(length):
+            edges.append((end, nxt))
+            end, nxt = nxt, nxt + 1
+    return edges
+
+
+def hub_over_cliques(rng: random.Random) -> list:
+    """Edges of a hub 0 joined to every node of a few disjoint cliques and
+    to a few leaves."""
+    edges, nxt = [], 1
+    for _ in range(rng.randint(2, 5)):
+        members = range(nxt, nxt + rng.randint(2, 6))
+        edges += [(a, b) for a in members for b in members if a < b]
+        edges += [(0, m) for m in members]
+        nxt = members.stop
+    edges += [(0, leaf) for leaf in range(nxt, nxt + rng.randint(0, 5))]
+    return edges
+
+
+def hub_instance(rng: random.Random) -> LiteralInstance:
+    """A random literal instance whose every edge holds vertex 1."""
+    nv = rng.randint(3, 9)
+    edges = [{1, *rng.sample(range(2, nv + 1), rng.randint(1, min(3, nv - 1)))}
+             for _ in range(rng.randint(2, 12))]
+    sigma = tuple({v: rng.randint(0, 1) for v in e} for e in edges)
+    return LiteralInstance(Hypergraph(range(1, nv + 1), edges), sigma,
+                           tuple(Fraction(rng.randint(-9, 9)) for _ in edges))
+
+
 def traced_lines(fn, *args) -> int:
     """Python lines executed in fn's module while fn runs: a deterministic
     work count that includes every comprehension and lambda there."""
@@ -311,6 +382,31 @@ class TestMinfillMatchesReference:
             self.assert_same(incidence_graph(inst.hypergraph))
             self.assert_same(formula_incidence_graph(encode_basic(inst)))
 
+    def test_hubs_and_heap_rebuilds(self, monkeypatch):
+        # The heap holds only the nodes within a bound of the least fill.
+        # Pendant paths into a K_{k,k} core leave the heap dry once the
+        # paths are gone, so it is rebuilt; hubs sit far above the least
+        # fill for most of the elimination.
+        import nnfopt.hypergraph as hg
+        builds = []
+        monkeypatch.setattr(hg, "heapify", lambda heap: (builds.append(len(heap)), heapify(heap)))
+        rng = random.Random(2410)
+        for k in (4, 5):
+            for _ in range(15):
+                tails = [(rng.randrange(2 * k), rng.randint(1, 6))
+                         for _ in range(rng.randint(1, 4))]
+                edges = core_with_tails(k, tails)
+                labels = rng.sample(range(1000), 2 * k + sum(n for _, n in tails))
+                before = len(builds)
+                self.assert_same(graph_of(edges, labels.__getitem__))
+                assert len(builds) - before >= 2
+        for _ in range(30):
+            edges = hub_over_cliques(rng)
+            labels = rng.sample(range(1000), 1 + max(max(e) for e in edges))
+            self.assert_same(graph_of(edges, labels.__getitem__))
+        for _ in range(100):
+            self.assert_same(formula_incidence_graph(encode_basic(hub_instance(rng))))
+
     @pytest.mark.parametrize("n", range(8, 15))
     def test_labs(self, n):
         self.assert_same(labs_graph(n))
@@ -323,19 +419,28 @@ class TestMinfillMatchesReference:
         order = order_from_decomposition(minfill_decomposition(labs_graph(n)))
         assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("family", ["path", "cycle of triples"])
+    @pytest.mark.parametrize("family", ["path", "cycle of triples", "hub", "cores with tails"])
     def test_work_grows_linearly(self, family):
-        # Min-fill finds widths 1 and 4 here at every n, so an elimination
-        # costs O(1) unless the next node is found by scanning the live
-        # nodes; the count then grows quadratically (2.9-3.6x per doubling
-        # at these sizes for a scan over a set of ints).
+        # Min-fill finds widths 1, 4, 2 and 4 here at every n, so an
+        # elimination costs O(1) unless the next node is found by scanning
+        # the live nodes; the count then grows quadratically (2.9-3.6x per
+        # doubling at these sizes for a scan over a set of ints).  The hub
+        # is in every edge, so its fill changes at most eliminations; the
+        # cores with tails leave the heap dry once their tails are gone,
+        # so it is rebuilt from a scan of the live fills.
         counts = []
         for n in (100, 200, 400):
             if family == "path":
-                h = Hypergraph(range(n), [{i, i + 1} for i in range(n - 1)])
+                g = incidence_graph(Hypergraph(range(n), [{i, i + 1} for i in range(n - 1)]))
+            elif family == "cycle of triples":
+                g = incidence_graph(Hypergraph(
+                    range(n), [{i, (i + 1) % n, (i + 2) % n} for i in range(n)]))
+            elif family == "hub":
+                g = incidence_graph(Hypergraph(range(n), [{0, i, i + 1} for i in range(1, n - 1)]))
             else:
-                h = Hypergraph(range(n), [{i, (i + 1) % n, (i + 2) % n} for i in range(n)])
-            counts.append(traced_lines(minfill_decomposition, incidence_graph(h)))
+                g = graph_of(e for j in range(n // 20)
+                             for e in core_with_tails(4, [(0, 12)], 20 * j))
+            counts.append(traced_lines(minfill_decomposition, g))
         for small, large in zip(counts, counts[1:]):
             assert large < 2.5 * small, counts
 
@@ -437,6 +542,12 @@ class TestTreeDecompositionValidation:
                 if seen != holding:
                     expect.add(v)
             assert td.disconnected() == expect
+
+    def test_tree_edge_from_a_bag_to_itself_rejected(self):
+        # a loop would count as half an edge in _is_tree's edge count
+        with pytest.raises(ValueError, match="from a bag to itself"):
+            TreeDecomposition({0: {("v", 1), ("c", 0)}, 1: {("c", 0), ("v", 2)},
+                               2: {("v", 2)}}, [(0, 1), (1, 2), (2, 2)])
 
     def test_not_a_tree(self):
         g = Graph([1])

@@ -390,6 +390,17 @@ class TestWitnessCheck:
         with pytest.raises(RuntimeError, match="not a model"):
             optimize(compiled_worked(), weights_from_profits(worked_example()))
 
+    def test_wrong_value_witness_raises(self, monkeypatch):
+        # x2 is free in the circuit, so completing it with its worse bit
+        # still gives a model, one that misses the optimum by 5
+        b = CircuitBuilder((x(1), x(2)))
+        c = b.finish(b.literal(x(1), True))
+        w = WeightFunction((x(1), x(2)), {(x(1), 1): Fraction(1, 3), (x(2), 1): 5})
+        assert optimize(c, w).witness == {x(1): 1, x(2): 1}
+        monkeypatch.setattr(WeightFunction, "slack_bit", lambda self, var: 0)
+        with pytest.raises(RuntimeError, match="does not attain"):
+            optimize(c, w)
+
     def test_check_runs_under_optimized_bytecode(self):
         # python -O strips assert statements; the witness check must stay
         script = (

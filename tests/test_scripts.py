@@ -156,6 +156,24 @@ def test_bench_order_writes_and_merges(tmp_path):
                    for t in row["seconds"].values())
 
 
+def test_bench_order_selects_cases(tmp_path):
+    out = tmp_path / "order.json"
+    for label, args in (("first", ["--labs", "6", "--cycles", "12"]),
+                        ("second", ["--labs", "--cycles", "12"]),
+                        ("second", ["--labs", "6", "--cycles"])):
+        proc = run_script("bench_order.py", "--label", label, "--out", str(out), *args)
+        assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert sorted(runs) == ["first", "second"]
+    # a run merges into its label case by case
+    first, second = runs["first"]["instances"], runs["second"]["instances"]
+    assert sorted(first) == sorted(second) == ["gen-labs 6 3", "shuffled cycle of triples n=12"]
+    # sizes and orders repeat exactly from run to run
+    fields = ("graph_nodes", "graph_edges", "width", "order_sha256")
+    assert {k: [r[f] for f in fields] for k, r in first.items()} \
+        == {k: [r[f] for f in fields] for k, r in second.items()}
+
+
 @pytest.mark.parametrize("n", sorted(CYCLE_SHA256))
 def test_shuffled_cycle_of_triples_pinned(n):
     inst = shuffled_cycle_of_triples(n, n)
