@@ -556,30 +556,17 @@ def _branch_order(h: Hypergraph, order: Sequence) -> tuple[CnfVariable, ...]:
 
 def order_from_decomposition(td: TreeDecomposition) -> tuple:
     """Variable order from a root-to-leaf sweep of an incidence-graph
-    decomposition: variables in order of first bag appearance."""
-    if not td._is_tree():
-        raise ValueError("bag graph is not a tree")
-    if td.disconnected():
+    decomposition: variables in order of first bag appearance, each bag's
+    new ones by repr."""
+    news = td.walk()
+    elements = set().union(*news)
+    if sum(map(len, news)) != len(elements):
         raise ValueError("decomposition violates connectedness")
-    key = {}    # vertex node not yet emitted -> its repr, which orders each bag
-    for el in {x for bag in td.bags.values() for x in bag}:
+    for el in elements:
         if not (isinstance(el, tuple) and len(el) == 2 and el[0] in ("v", "c")):
             raise ValueError("bags must contain incidence-graph nodes")
-        if el[0] == "v":
-            key[el] = repr(el)
-    root = min(td.bags)
-    seen_bags = {root}
-    stack = [root]
-    out = []
-    while stack:
-        b = stack.pop()
-        for el in sorted(key.keys() & td.bags[b], key=key.__getitem__):
-            del key[el]
-            out.append(el[1])
-        nxt = sorted(td.tree[b] - seen_bags, reverse=True)
-        seen_bags.update(nxt)
-        stack.extend(nxt)
-    return tuple(out)
+    return tuple(el[1] for new in news
+                 for el in sorted([el for el in new if el[0] == "v"], key=repr))
 
 
 def encode_instance(inst: LiteralInstance,

@@ -537,6 +537,8 @@ def to_lp_text(system: LinearSystem, objective: Mapping,
     free.  Objective and right-hand sides must be exactly representable
     as decimals.
     """
+    if sense not in ("max", "min"):
+        raise ValueError(f"unknown sense {sense!r}: use max or min")
     if not system.columns:
         raise ValueError("cannot export a system with no columns")
     names = list(system.column_names.values())      # by column number

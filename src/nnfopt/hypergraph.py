@@ -8,7 +8,6 @@ Nothing here knows the CNF encodings; cnf builds on this module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -39,16 +38,23 @@ class Graph:
     def bipartite(cls, left: Sequence, right: Iterable) -> "Graph":
         """The graph with nodes ``left`` and then the nodes of ``right``, a
         sequence of (node, its neighbours in left) pairs: what add_node on
-        each left node, then add_node and add_edge per pair, would build."""
+        each left node, then add_node and add_edge per pair, would build.
+        Raises ValueError unless the sides are distinct nodes and every
+        neighbour is in left."""
         g = cls()
         adj = g._adj
         adj.update((u, set()) for u in left)
         count = len(left)
+        rest = {}
         for node, near in right:
-            adj[node] = near = set(near)
+            rest[node] = near = set(near)
             count += 1
-            for u in near:
-                adj[u].add(node)
+            try:
+                for u in near:
+                    adj[u].add(node)
+            except KeyError:
+                raise ValueError(f"{node!r} has a neighbour outside left") from None
+        adj.update(rest)
         if len(adj) != count:
             raise ValueError("bipartite sides must be distinct nodes")
         return g
@@ -172,46 +178,40 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(s) for s in self.bags.values()), default=0) - 1
 
-    def _is_tree(self) -> bool:
-        if not self.bags:
-            return False
-        n_edges = sum(len(s) for s in self.tree.values()) // 2
-        if n_edges != len(self.bags) - 1:
-            return False
-        seen = set()
-        queue = deque([next(iter(self.bags))])
-        while queue:
-            b = queue.popleft()
-            if b in seen:
-                continue
-            seen.add(b)
-            queue.extend(self.tree[b] - seen)
-        return len(seen) == len(self.bags)
+    def walk(self) -> list:
+        """Per bag, in the order of a depth-first pass from the least bag id
+        that takes neighbours in ascending order: the elements the bag
+        holds and its parent bag does not.
+
+        An element's bags form a connected subtree exactly when it is new
+        in one bag only.  Raises ValueError unless the bag graph is a tree.
+        """
+        bags, tree = self.bags, self.tree
+        if not bags or sum(map(len, tree.values())) != 2 * (len(bags) - 1):
+            raise ValueError("bag graph is not a tree")
+        root = min(bags)
+        seen = {root}
+        stack = [(root, frozenset())]
+        out = []
+        while stack:
+            b, above = stack.pop()
+            bag = bags[b]
+            out.append(bag - above)
+            nxt = sorted(tree[b] - seen, reverse=True)
+            seen.update(nxt)
+            stack.extend((c, bag) for c in nxt)
+        if len(seen) != len(bags):
+            raise ValueError("bag graph is not a tree")
+        return out
 
     def disconnected(self) -> set:
-        """Elements whose bags do not induce a connected subtree.
-
-        Requires the bag graph to be a tree.  The bags holding an element
-        then induce a forest, which is connected exactly when the tree
-        edges between two of its bags number one less than its bags; one
-        pass over the bags and one over the tree edges count both.
-        """
-        surplus: dict = {}      # bags holding v minus tree edges within them
-        for s in self.bags.values():
-            for v in s:
-                surplus[v] = surplus.get(v, 0) + 1
-        for a, near in self.tree.items():
-            sa = self.bags[a]
-            for b in near:
-                if a < b:
-                    for v in sa & self.bags[b]:
-                        surplus[v] -= 1
-        return {v for v, k in surplus.items() if k != 1}
+        """Elements whose bags do not induce a connected subtree: those new
+        in more than one bag of walk()."""
+        return _repeated(self.walk())
 
     def validate(self, graph: Graph) -> None:
         """Raise ValueError unless this is a valid decomposition of graph."""
-        if not self._is_tree():
-            raise ValueError("bag graph is not a tree")
+        news = self.walk()
         holders: dict = {}      # node -> ids of the bags that hold it
         for a, s in self.bags.items():
             for v in s:
@@ -222,10 +222,19 @@ class TreeDecomposition:
         for u, v in graph.edges():
             if holders[u].isdisjoint(holders[v]):
                 raise ValueError(f"edge ({u}, {v}) not covered by any bag")
-        broken = self.disconnected()
+        broken = _repeated(news)
         for v in graph.nodes:
             if v in broken:
                 raise ValueError(f"bags containing {v} are not connected")
+
+
+def _repeated(sets) -> set:
+    # the elements of more than one of sets
+    seen, twice = set(), set()
+    for s in sets:
+        twice |= seen & s
+        seen |= s
+    return twice
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +307,9 @@ def edge_node(i: int) -> tuple:
 
 def incidence_graph(h: Hypergraph) -> Graph:
     """Bipartite graph between vertices and edge occurrences."""
-    g = Graph()
-    for v in h.vertices:
-        g.add_node(vertex_node(v))
-    for i, e in enumerate(h.edges):
-        g.add_node(edge_node(i))
-        for v in sorted(e, key=h.vertex_position):
-            g.add_edge(vertex_node(v), edge_node(i))
-    return g
+    return Graph.bipartite([vertex_node(v) for v in h.vertices],
+                           ((edge_node(i), [vertex_node(v) for v in h.edge_vertices(i)])
+                            for i in range(len(h.edges))))
 
 
 # ---------------------------------------------------------------------------

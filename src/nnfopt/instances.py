@@ -179,8 +179,8 @@ def brute_force(inst: LiteralInstance,
     n = len(h.vertices)
     if n > ORACLE_MAX_VERTICES:
         raise GuardViolation(f"oracle limited to {ORACLE_MAX_VERTICES} vertices, got {n}")
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
     counted_pos: Optional[list[int]] = None
     sums: Optional[frozenset] = None
     if isinstance(spec, CardinalitySpec):

@@ -403,6 +403,19 @@ class TestLpExport:
         text = to_lp_text(system, {("x", "x"): Fraction(1, 2)})
         assert "0.5 x1" in text
 
+    @pytest.mark.parametrize("sense", ["maximize", "MAX", "Min", "", None])
+    def test_unknown_sense_rejected(self, sense):
+        system = build_system(normalize_for_extform(fig_ddnnf()), include_x=True)
+        with pytest.raises(ValueError, match="unknown sense"):
+            to_lp_text(system, {("x", "x"): Fraction(1)}, sense=sense)
+
+    def test_min_sense_writes_minimize(self):
+        system = build_system(normalize_for_extform(fig_ddnnf()), include_x=True)
+        objective = {("x", "x"): Fraction(1)}
+        text = to_lp_text(system, objective, sense="min")
+        assert text.startswith("Minimize\n")
+        assert text.replace("Minimize", "Maximize", 1) == to_lp_text(system, objective)
+
     def test_unrepresentable_fraction_rejected(self):
         c = normalize_for_extform(fig_ddnnf())
         system = build_system(c, include_x=True)

@@ -11,6 +11,8 @@ from beta_reference import (_is_nest_point_reference, beta_elimination_order_ref
 from corpus import (basic_incidence_graph, corpus_instance, exhaustive_beta_acyclic,
                     random_beta_acyclic_instance, random_cycle_hypergraph,
                     random_hypergraph, worked_example)
+from decomposition_reference import (disconnected_reference, order_from_decomposition_reference,
+                                     validate_reference)
 from minfill_reference import minfill_decomposition_reference
 from nnfopt import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
                     beta_elimination_order, cycle_decomposition, encode_basic,
@@ -184,6 +186,15 @@ class TestGraphBipartite:
         with pytest.raises(ValueError, match="distinct nodes"):
             Graph.bipartite(left, right)
 
+    @pytest.mark.parametrize("left, right", [
+        ([1], [(2, [3])]),
+        ([1], [(2, [1]), (3, [2])]),
+        ([], [(2, [2])]),
+    ])
+    def test_neighbours_must_be_in_left(self, left, right):
+        with pytest.raises(ValueError, match="neighbour outside left"):
+            Graph.bipartite(left, right)
+
 
 class TestIncidenceGraph:
     def test_worked_example_counts(self):
@@ -194,6 +205,20 @@ class TestIncidenceGraph:
     def test_no_edges_isolated_nodes(self):
         g = incidence_graph(Hypergraph([1, 2]))
         assert g.node_count == 2 and g.edge_count == 0
+
+    def test_equals_add_edge_build(self):
+        rng = random.Random(2504)
+        for i in range(400):
+            h = (corpus_instance(rng).hypergraph if i % 2 else
+                 random_hypergraph(rng, max_v=12, max_e=12))
+            g = Graph(("v", v) for v in h.vertices)
+            for j in range(len(h.edges)):
+                g.add_node(("e", j))
+                for v in h.edge_vertices(j):
+                    g.add_edge(("v", v), ("e", j))
+            b = incidence_graph(h)
+            assert b.nodes == g.nodes
+            assert [list(s) for s in b._adj.values()] == [list(s) for s in g._adj.values()]
 
     def test_duplicate_edge_gets_two_nodes(self):
         g = incidence_graph(Hypergraph([1, 2], [{1, 2}, {1, 2}]))
@@ -544,7 +569,7 @@ class TestTreeDecompositionValidation:
             assert td.disconnected() == expect
 
     def test_tree_edge_from_a_bag_to_itself_rejected(self):
-        # a loop would count as half an edge in _is_tree's edge count
+        # a loop would count as half an edge in a count of tree edges
         with pytest.raises(ValueError, match="from a bag to itself"):
             TreeDecomposition({0: {("v", 1), ("c", 0)}, 1: {("c", 0), ("v", 2)},
                                2: {("v", 2)}}, [(0, 1), (1, 2), (2, 2)])
@@ -555,3 +580,138 @@ class TestTreeDecompositionValidation:
                                [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValueError, match="tree"):
             td.validate(g)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def random_tree_decomposition(rng: random.Random, connected: bool) -> TreeDecomposition:
+    """A random tree over up to 9 bags holding vertex and clause nodes; with
+    connected, each node's bags are grown as a subtree from one bag."""
+    nb = rng.randint(1, 9)
+    ids = rng.sample(range(30), nb)
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, nb)]
+    near = TreeDecomposition({b: () for b in ids}, edges).tree
+    bags = {b: set() for b in ids}
+    for el in ([("v", i) for i in range(rng.randint(0, 7))]
+               + [("c", j) for j in range(rng.randint(0, 4))]):
+        if connected:
+            members = {rng.choice(ids)}
+            for _ in range(rng.randint(0, nb - 1)):
+                rim = sorted(set().union(*(near[m] for m in members)) - members)
+                if rim:
+                    members.add(rng.choice(rim))
+        else:
+            members = rng.sample(ids, rng.randint(1, nb))
+        for m in members:
+            bags[m].add(el)
+    return TreeDecomposition(bags, edges)
+
+
+def random_covering_graph(rng: random.Random, td: TreeDecomposition) -> Graph:
+    """A graph over td's elements, some edges and at times an extra node."""
+    nodes = sorted(set().union(*td.bags.values()))
+    g = Graph(nodes)
+    for _ in range(rng.randint(0, 2 * len(nodes))):
+        u, v = rng.sample(nodes, 2) if len(nodes) > 1 else (None, None)
+        if u is not None:
+            g.add_edge(u, v)
+    if rng.random() < 0.3:
+        g.add_node(("v", 99))
+    return g
+
+
+class TestWalkMatchesReference:
+    """walk-based order_from_decomposition, disconnected and validate
+    against frozen copies of their former breadth-first tree check, count
+    of bags minus tree edges and dict-driven sweep."""
+
+    def assert_same(self, td: TreeDecomposition, g: Graph = None) -> None:
+        assert outcome(order_from_decomposition, td) == \
+            outcome(order_from_decomposition_reference, td)
+        try:
+            td.walk()
+        except ValueError as err:
+            assert str(err) == "bag graph is not a tree"
+            assert outcome(td.disconnected) == ("ValueError", "bag graph is not a tree")
+        else:
+            assert td.disconnected() == disconnected_reference(td)
+        if g is not None:
+            assert outcome(td.validate, g) == outcome(validate_reference, td, g)
+
+    def test_random_trees(self):
+        rng = random.Random(2501)
+        orders = faults = 0
+        for i in range(1500):
+            td = random_tree_decomposition(rng, connected=i % 2 == 0)
+            self.assert_same(td, random_covering_graph(rng, td))
+            got = outcome(order_from_decomposition, td)
+            orders += isinstance(got, tuple) and len(got) > 1 and got[0] != "ValueError"
+            faults += got == ("ValueError", "decomposition violates connectedness")
+        assert orders > 300 and faults > 300
+
+    def test_forests_cycles_and_empty(self):
+        rng = random.Random(2502)
+        for _ in range(600):
+            td = random_tree_decomposition(rng, connected=True)
+            edges = [(a, b) for a in td.tree for b in td.tree[a] if a < b]
+            ids = list(td.bags)
+            kind = rng.choice(["forest", "cycle", "cycle plus island", "twice"])
+            if kind == "forest" and edges:
+                edges.remove(rng.choice(edges))
+            elif kind == "cycle" and len(ids) > 2:
+                a, b = rng.sample(ids, 2)
+                edges.append((a, b))
+            elif kind == "cycle plus island" and len(ids) > 3:
+                a, b, c, d = rng.sample(ids, 4)
+                edges = [(a, b), (b, c), (c, a)] + [(x, a) for x in ids if x not in (a, b, c, d)]
+            elif kind == "twice" and edges:
+                a, b = rng.choice(edges)
+                edges.append((b, a))
+            broken = TreeDecomposition(td.bags, edges)
+            self.assert_same(broken, random_covering_graph(rng, broken))
+        empty = TreeDecomposition({}, [])
+        self.assert_same(empty, Graph())
+        assert outcome(empty.walk) == ("ValueError", "bag graph is not a tree")
+        with pytest.raises(ValueError, match="from a bag to itself"):
+            TreeDecomposition({0: {("v", 1)}, 1: {("v", 1)}}, [(0, 1), (1, 1)])
+
+    def test_split_elements_and_wrong_kinds(self):
+        rng = random.Random(2503)
+        wrong = [("x", 1), ("v", 1, 2), ("e", 0), 7, "v"]
+        seen = set()
+        for i in range(800):
+            td = random_tree_decomposition(rng, connected=True)
+            bags = {b: set(s) for b, s in td.bags.items()}
+            edges = [(a, b) for a in td.tree for b in td.tree[a] if a < b]
+            ids = sorted(bags)
+            apart = [(a, b) for a in ids for b in ids if a < b and b not in td.tree[a]]
+            if i % 4 != 1 and apart:            # split a node over two bags
+                el = rng.choice([("v", 50), ("c", 50)])
+                for b in rng.choice(apart):
+                    bags[b].add(el)
+            if i % 4 != 0:                       # add a node of the wrong kind
+                bags[rng.choice(ids)].add(rng.choice(wrong))
+            faulty = TreeDecomposition(bags, edges)
+            self.assert_same(faulty)
+            seen.add(outcome(order_from_decomposition, faulty))
+        assert {("ValueError", "decomposition violates connectedness"),
+                ("ValueError", "bags must contain incidence-graph nodes")} <= seen
+
+    def test_minfill_decompositions(self):
+        rng = random.Random(20250809)
+        for _ in range(500):
+            inst = corpus_instance(rng)
+            for g in (formula_incidence_graph(encode_basic(inst)),
+                      incidence_graph(inst.hypergraph)):
+                self.assert_same(minfill_decomposition(g), g)
+        for n in range(8, 15):
+            g = labs_graph(n)
+            td = minfill_decomposition(g)
+            self.assert_same(td, g)
+            assert order_from_decomposition(td) == order_from_decomposition_reference(td)

@@ -11,7 +11,7 @@ from corpus import (circuit_corpus, corpus_instance, worked_example, poly_points
                     variable_sets)
 from families import intervals
 from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig, NnfCircuit,
-                    WeightFunction, compile_formula, compile_instance, encode_basic,
+                    WeightFunction, brute_force, compile_formula, compile_instance, encode_basic,
                     enumerate_models, evaluate, gen_labs, optimize, parse_instance,
                     project_solution, restrict_cardinality, top_k, weights_from_profits)
 from nnfopt.cnf import CnfFormula, CnfVariable, instance_variables
@@ -193,6 +193,11 @@ class TestTopK:
     def test_k_must_be_a_positive_int(self, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             top_k(compiled_worked(), weights_from_profits(worked_example()), k)
+
+    @pytest.mark.parametrize("k", [2.5, "3", 0, -1, None])
+    def test_brute_force_k_must_be_a_positive_int(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            brute_force(worked_example(), k=k)
 
     def test_k_past_sys_maxsize_returns_every_model(self):
         inst = parse_instance("2 v1 v2\n-1 v2 v3\n3 v3 v1\n").instance
