@@ -5,8 +5,8 @@ shifts 1..w; expanded over 0/1 variables this is a dense multilinear
 polynomial to minimize.  Dense means hard for this pipeline: every vertex
 pair occurs as a monomial, so the circuit is the complete decision tree
 over the n vertex variables, with about 3 * 2^n nodes.  The compiler pays
-a few mask operations per decision node, so n=20 solves in 17-27 s on a
-2-core host.  Run with: python demos/06_labs_benchmark.py
+a few mask operations per decision node, so n=20 solved in 14.4-15.2 s
+on a 2-core host at commit 2813e28.  Run with: python demos/06_labs_benchmark.py
 """
 
 import time

@@ -23,12 +23,11 @@ from .hypergraph import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
                          beta_elimination_order, cycle_decomposition,
                          incidence_graph, is_beta_acyclic,
                          is_valid_elimination_order, minfill_decomposition)
-from .instances import (GuardViolation, ParsedInstance, ParseError, brute_force,
-                        format_instance, gen_labs, labs_energy, parse_instance)
+from .instances import (CardinalitySpec, GuardViolation, ParsedInstance, ParseError,
+                        brute_force, format_instance, gen_labs, labs_energy, parse_instance)
 from .maxplus import (NEG_INF, Optimum, WeightFunction, optimize,
                       project_solution, top_k, weights_from_profits)
-from .transforms import (CardinalitySpec, counting_transform, knapsack_transform,
-                         restrict_cardinality)
+from .transforms import counting_transform, knapsack_transform, restrict_cardinality
 
 __version__ = "0.1.0"
 

@@ -516,6 +516,30 @@ def add_gate(columns: tuple, kind, kids: tuple = (), a=0) -> int:
     return add_node(columns, kind, kids, a)
 
 
+def _copier() -> tuple:
+    """(columns, literal, gadget) for a copy written into fresh columns:
+    literal(a, b) writes each literal node once, and gadget(i) writes the
+    Or of bit i's positive and negative literal once, in that order,
+    marked i."""
+    out: tuple = ([], [], [], [])
+    lits: dict = {}         # (pos, neg) -> literal node
+    gadgets: dict = {}      # bit -> its gadget
+
+    def literal(a: int, b: int) -> int:
+        got = lits.get((a, b))
+        if got is None:
+            got = lits[(a, b)] = add_node(out, LIT, (), a, b)
+        return got
+
+    def gadget(i: int) -> int:
+        got = gadgets.get(i)
+        if got is None:
+            got = gadgets[i] = add_node(out, OR, (literal(1 << i, 0), literal(0, 1 << i)), i)
+        return got
+
+    return out, literal, gadget
+
+
 def _compact(columns: tuple, root: int) -> tuple:
     """Drop the nodes the root cannot reach, keeping the order of the rest.
 
@@ -567,23 +591,8 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     """
     if not check_structure(c).decomposable:
         raise ValueError("normalization requires a decomposable circuit")
-    bv = c.bit_variables
     rank = c.universe_rank
-    out = ([], [], [], [])
-    lits: dict = {}         # (pos, neg) -> literal node
-    gadgets: dict = {}      # bit -> its gadget
-
-    def literal(a: int, b: int) -> int:
-        got = lits.get((a, b))
-        if got is None:
-            got = lits[(a, b)] = add_node(out, LIT, (), a, b)
-        return got
-
-    def gadget(i: int) -> int:
-        got = gadgets.get(i)
-        if got is None:
-            got = gadgets[i] = add_node(out, OR, (literal(1 << i, 0), literal(0, 1 << i)), i)
-        return got
+    out, literal, gadget = _copier()
 
     def pad(node, missing: int) -> int:     # node None stands for true
         pads = [gadget(i) for i in sorted(mask_bits(missing), key=rank.__getitem__)]
@@ -599,7 +608,7 @@ def normalize_for_extform(c: NnfCircuit) -> NnfCircuit:
     if out[0][top] != OR:
         top = add_node(out, OR, (top,), None)
     columns, top = _compact(out, top)
-    return NnfCircuit(c.variables, bv, columns, top)
+    return NnfCircuit(c.variables, c.bit_variables, columns, top)
 
 
 def smooth_binary_form(c: NnfCircuit) -> NnfCircuit:

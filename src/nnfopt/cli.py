@@ -25,11 +25,11 @@ from .compiler import CompileConfig, compile_formula, compile_instance, \
     encode_instance
 from .extform import build_system, decimal_places, to_lp_text
 from .hypergraph import LiteralInstance
-from .instances import GuardViolation, ParseError, ParsedInstance, brute_force, \
-    gen_labs, parse_instance
+from .instances import CardinalitySpec, GuardViolation, ParseError, ParsedInstance, \
+    brute_force, gen_labs, parse_instance
 from .maxplus import NEG_INF, optimize, project_solution, top_k, \
     weights_from_profits
-from .transforms import CardinalitySpec, knapsack_transform, restrict_cardinality
+from .transforms import knapsack_transform, restrict_cardinality
 
 
 def _card_sums(text: Optional[str], parsed: ParsedInstance) -> Optional[frozenset]:

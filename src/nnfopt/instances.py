@@ -1,4 +1,4 @@
-"""Instance text format, brute-force oracle and LABS benchmark generator.
+"""Instance text format, cardinality specs, brute-force oracle and LABS generator.
 
 A polynomial file has one monomial per line, `<coeff> <term>...`, where a
 term is v<id> for a plain variable or ~v<id> for its complement, plus
@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .hypergraph import Hypergraph, LiteralInstance
-from .transforms import CardinalitySpec, _integer
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +35,30 @@ class ParseError(ValueError):
 
 class GuardViolation(RuntimeError):
     """A size guard refused the operation."""
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; ValueError unless x is integral, rather than truncating."""
+    if int(x) != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+@dataclass(frozen=True)
+class CardinalitySpec:
+    """Counted variable subset and the admissible sums of their bits."""
+
+    variables: tuple
+    sums: frozenset
+
+    def __init__(self, variables: Iterable, sums: Iterable[int]):
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "sums", frozenset(_integer(s, "sum") for s in sums))
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("counted variables must be distinct")
+        bad = [s for s in self.sums if not 0 <= s <= len(self.variables)]
+        if bad:
+            raise ValueError(f"sums out of range: {sorted(bad)}")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Weights live in the semiring (Q with -infinity, max, +): an unsatisfiable
 circuit has value -infinity, satisfiable ones an exact rational optimum.
-The single-optimum query runs directly on non-smooth circuits by keeping,
-for every node, the best weight of a model of the node completed greedily
-on all remaining variables.  The top-k query is a semiring over
+Both queries run in scaled integers and count in regrets, what a model's
+literals cost against each variable's better bit, and make rationals
+only for the answers they return.  The single-optimum query runs
+directly on non-smooth circuits by keeping, for every node, the least
+regret of its models: that of its best model completed greedily on all
+remaining variables.  The top-k query is a semiring over
 circuit.smooth_fold: a node's value is its k best models over the
 variables it mentions, one int per model, so that a product is an
-integer sum and a merge a sort.  Both passes run in scaled integers and
-make rationals only for the answers they return.
+integer sum and a merge a sort.
 """
 
 from __future__ import annotations
@@ -83,17 +85,19 @@ class Optimum:
     witness: Optional[dict]
 
 
-def _require_opt_structure(c: NnfCircuit) -> None:
+def _regrets(c: NnfCircuit, w: WeightFunction):
+    """The entry check and the integer weights of optimize and top_k.
+
+    ValueError unless w's universe is c's and c is decomposable and
+    deterministic.  Returns (scale, scaled total slack, regrets of
+    positive and of negative literals by bit position).  Weights are
+    scaled by the lcm of their denominators; a literal's regret is what it
+    costs against its variable's better bit."""
+    if set(w.universe) != set(c.variables):
+        raise ValueError("weight universe must match the circuit universe")
     rep = check_structure(c)
     if not (rep.decomposable and rep.deterministic):
         raise ValueError("query needs a decomposable, deterministic circuit")
-
-
-def _regrets(c: NnfCircuit, w: WeightFunction):
-    """Integer weights for the optimum and top-k passes: (scale, scaled
-    total slack, regrets of positive and of negative literals by bit
-    position).  Weights are scaled by the lcm of their denominators; a
-    literal's regret is what it costs against its variable's better bit."""
     scale, ints = w._scaled_ints
     total = 0
     r1, r0 = [], []
@@ -134,28 +138,26 @@ def _block_regret(a: int, b: int, planes1, planes0) -> int:
 def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
     """Maximum weight over the circuit's models, with witness.
 
-    One bottom-up pass computes, per node, the best completed weight
-    m(v) = max of w over models of v extended greedily outside var(v);
-    a top-down walk then rebuilds a witness.  Ties between Or children go
+    One bottom-up pass computes, per node, the least regret m(v) of a
+    model of v (see _regrets), so that the total slack less m(v) is the
+    best weight of a model of v extended greedily outside var(v); a
+    top-down walk then rebuilds a witness.  Ties between Or children go
     to the first child in declaration order.  The pass runs in integers
-    (see _regrets) and reads literal blocks whole.  The witness is
+    and reads literal blocks whole.  The witness is
     checked on every call: it must be a model of the circuit, and its
     weight, summed in the scaled ints of WeightFunction._scaled_ints, must
     equal the scaled optimum.  That table is trusted here, not checked
     again against the Fraction weights.  A failed check raises
     RuntimeError.
     """
-    if set(w.universe) != set(c.variables):
-        raise ValueError("weight universe must match the circuit universe")
-    _require_opt_structure(c)
     scale, total, r1, r0 = _regrets(c, w)
     planes1, planes0 = _planes(r1), _planes(r0)
     kinds, kids, pos, neg = c.columns
 
-    m: list = []        # scaled m(v); None stands for -infinity
+    m: list = []        # scaled least regret; None stands for -infinity
     for kind, ks, a, b in zip(kinds, kids, pos, neg):
         if kind != OR:
-            acc = total - len(ks) * total
+            acc = 0
             for ch in ks:
                 x = m[ch]
                 if x is None:
@@ -163,19 +165,19 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
                     break
                 acc += x
             if acc is not None and (a or b):
-                acc -= _block_regret(a, b, planes1, planes0)
+                acc += _block_regret(a, b, planes1, planes0)
             m.append(acc)
         else:
             best = None
             for ch in ks:
                 x = m[ch]
-                if x is not None and (best is None or x > best):
+                if x is not None and (best is None or x < best):
                     best = x
             m.append(best)
 
     if m[c.output] is None:
         return Optimum(NEG_INF, None)
-    value = Fraction(m[c.output], scale)
+    value = Fraction(total - m[c.output], scale)
     bv = c.bit_variables
     witness: dict = {}
     stack = [c.output]
@@ -198,7 +200,7 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
     if not evaluate(c, witness):
         raise RuntimeError("optimum witness is not a model of the circuit")
     ints = w._scaled_ints[1]
-    if sum(ints[var][witness[var]] for var in c.variables) != m[c.output]:
+    if sum(ints[var][witness[var]] for var in c.variables) != total - m[c.output]:
         raise RuntimeError("optimum witness does not attain the optimum value")
     return Optimum(value, witness)
 
@@ -263,9 +265,6 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    if set(w.universe) != set(c.variables):
-        raise ValueError("weight universe must match the circuit universe")
-    _require_opt_structure(c)
     scale, total, r1, r0 = _regrets(c, w)
     planes0 = _planes(r0)
     n = len(c.variables)

@@ -17,36 +17,12 @@ children pin distinct partial sums, so they are marked SELECTOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .circuit import (AND, LIT, OR, SELECTOR, NnfCircuit, add_node,
+from .circuit import (AND, LIT, OR, SELECTOR, NnfCircuit, _copier, add_node,
                       check_structure, fold_constants, mask_bits, smooth_fold)
-
-
-def _integer(x, what: str) -> int:
-    """x as an int; ValueError unless x is integral, rather than truncating."""
-    if int(x) != x:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
-
-
-@dataclass(frozen=True)
-class CardinalitySpec:
-    """Counted variable subset and the admissible sums of their bits."""
-
-    variables: tuple
-    sums: frozenset
-
-    def __init__(self, variables: Iterable, sums: Iterable[int]):
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "sums", frozenset(_integer(s, "sum") for s in sums))
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("counted variables must be distinct")
-        bad = [s for s in self.sums if not 0 <= s <= len(self.variables)]
-        if bad:
-            raise ValueError(f"sums out of range: {sorted(bad)}")
+from .instances import CardinalitySpec, _integer
 
 
 def _require_transformable(c: NnfCircuit, counted) -> None:
@@ -92,7 +68,7 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping):
             val[bit[var]] = cv
             support |= 1 << bit[var]
     rank = c.universe_rank
-    out = ([], [], [], [])
+    out, literal, gadget = _copier()
     okinds, okids, opos, oneg = out
 
     def selectors(pairs: Iterable, mark) -> dict:
@@ -117,29 +93,15 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping):
             return dict(zip(sums, range(start, start + k)))
         return selectors(zip(sums, range(start, start + k)), SELECTOR)
 
-    lits: dict = {}     # (pos, neg) -> copied literal node
-
-    def literal(a: int, b: int) -> int:
-        got = lits.get((a, b))
-        if got is None:
-            got = lits[(a, b)] = add_node(out, LIT, (), a, b)
-        return got
-
-    gadgets: dict = {}
     chains: dict = {}
     size = c.node_count + c.edge_count
 
-    def gadget(i: int) -> dict:
-        got = gadgets.get(i)
-        if got is None:
-            one, zero = literal(1 << i, 0), literal(0, 1 << i)
-            cv = val[i]
-            if cv == 0:
-                got = {0: add_node(out, OR, (one, zero), i)}
-            else:
-                got = {0: zero, cv: one} if cv > 0 else {cv: one, 0: zero}
-            gadgets[i] = got
-        return got
+    def unit(i: int) -> dict:   # bit i's table: its two literals, or its gadget
+        cv = val[i]
+        if cv == 0:
+            return {0: gadget(i)}
+        one, zero = literal(1 << i, 0), literal(0, 1 << i)
+        return {0: zero, cv: one} if cv > 0 else {cv: one, 0: zero}
 
     def pad(table, missing: int) -> dict:   # table None stands for true
         nonlocal size
@@ -147,9 +109,9 @@ def _indexed_copies(c: NnfCircuit, coef: Mapping):
         got = chains.get(missing)
         if got is None:
             order = sorted(mask_bits(missing), key=rank.__getitem__)
-            got = gadget(order.pop())
+            got = unit(order.pop())
             while order:
-                got = conv(gadget(order.pop()), got)
+                got = conv(unit(order.pop()), got)
             chains[missing] = got
         return got if table is None else conv(table, got)
 

@@ -28,6 +28,12 @@ def rows_of(c):
     return {tuple(m[v] for v in c.variables) for m in enumerate_models(c, cap=10000)}
 
 
+def overlapping_and():
+    """And(x, -x) over (x,): not decomposable."""
+    b = CircuitBuilder(("x",))
+    return b.finish(b.add_and((b.literal("x", True), b.literal("x", False))))
+
+
 def single_node(kind, variables=()):
     b = CircuitBuilder(variables)
     nid = b.true() if kind == "T" else b.false()
@@ -120,6 +126,10 @@ class TestCheckStructure:
 
 
 class TestNormalizeForExtform:
+    def test_non_decomposable_circuit_refused(self):
+        with pytest.raises(ValueError, match="normalization requires a decomposable circuit"):
+            normalize_for_extform(overlapping_and())
+
     def test_literal_output_wrapped(self):
         b = CircuitBuilder(("x",))
         c = b.finish(b.literal("x", True))
@@ -293,6 +303,24 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_models(c, cap=100)
 
+    def test_cap_checked_at_each_or_and_product(self):
+        # Or(x, -x) holds 2 models; And(Or(x, -x), Or(y, -y), false) has
+        # none, but its partial product reaches 4 before the false child
+        b = CircuitBuilder(("x",))
+        c = b.finish(b.add_or((b.literal("x", True), b.literal("x", False)), "x"))
+        with pytest.raises(CapExceeded, match="model cap exceeded"):
+            enumerate_models(c, cap=1)
+        b = CircuitBuilder(("x", "y"))
+        ors = [b.add_or((b.literal(v, True), b.literal(v, False)), v) for v in ("x", "y")]
+        dead = b.finish(b.add_and((*ors, b.false())))
+        with pytest.raises(CapExceeded, match="model cap exceeded"):
+            enumerate_models(dead, cap=3)
+        assert enumerate_models(dead, cap=4) == []
+
+    def test_non_decomposable_circuit_refused(self):
+        with pytest.raises(ValueError, match="model enumeration needs a decomposable circuit"):
+            enumerate_models(overlapping_and())
+
 
 class TestReroot:
     def test_reroot_counts_subfunctions(self):
@@ -387,10 +415,18 @@ class TestConstructorRules:
         ("nnf 2 2 1\nL 1\nA 2 0 1\n", None, "children must precede their parent"),
         ("nnf 2 1 1\nL 1\nO 1 1 -1\n", None, "children must precede their parent"),
         ("nnf 0 0 1\n", None, "output id out of range"),
+        ("nnf 1 0\nA 0\n", None, "malformed nnf header"),
+        ("nnf 1 0 1\nA 2 0\n", None, "bad And line"),
+        ("nnf 2 3 1\nL 1\nA 1 0\n", None, "edge count disagrees with header"),
     ])
     def test_text(self, text, variables, message):
         with pytest.raises(ValueError, match=message):
             from_nnf_text(text, variables)
+
+    @pytest.mark.parametrize("bit_variables", [("x", "z"), ("x",), ("x", "y", "y")])
+    def test_bit_variables_permute_the_universe(self, bit_variables):
+        with pytest.raises(ValueError, match="bit variables must be a permutation"):
+            NnfCircuit(("x", "y"), bit_variables, ([AND], [()], [0], [0]), 0)
 
 
 NNF_TAGS = ["L", "A", "O", "X", "c", "nnf"]

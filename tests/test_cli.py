@@ -440,6 +440,7 @@ class TestFlagValues:
         (["solve", "--knapsack", "1:2:"], "knapsack needs 6 coefficients, got 0"),
         (["solve", "--knapsack", "0:0"], "knapsack spec must look like L:U:c1,c2,..."),
         (["solve", "--knapsack", ""], "knapsack spec must look like L:U:c1,c2,..."),
+        (["solve", "--knapsack", "1:2:1,a"], "bad knapsack spec '1:2:1,a'"),
     ])
     def test_bad_value_is_one_line_before_compiling(self, capsys, monkeypatch, example,
                                                     argv, message):

@@ -275,3 +275,11 @@ class TestDimacs:
             CnfFormula([x(1)], [[lit(x(2), True)]])
         with pytest.raises(ValueError, match=r"^undeclared variable y0$"):
             CnfFormula([x(1)], [[lit(x(1), True), lit(y(0), False)]])
+
+    def test_declarations_and_tags_checked(self):
+        with pytest.raises(ValueError, match="variable kind must be 'x' or 'y'"):
+            CnfVariable("z", 1)
+        with pytest.raises(ValueError, match="duplicate variable declaration"):
+            CnfFormula([x(1), y(0), x(1)], [])
+        with pytest.raises(ValueError, match="one tag per clause required"):
+            CnfFormula([x(1)], [[lit(x(1), True)]], tags=[None, None])

@@ -55,6 +55,9 @@ class TestBuildSystem:
         ident = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
         assert _determinant(ident) == 1
 
+    def test_singular_determinant_is_zero(self):
+        assert _determinant([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+
     def test_fractional_determinant_raises(self, monkeypatch):
         import nnfopt.extform as ef
         monkeypatch.setattr(ef, "_determinant", lambda matrix: Fraction(5, 2))
@@ -115,6 +118,8 @@ class TestBuildSystem:
         system = build_system(c, include_x=True)
         out = system.row_by_tag(("out",))
         assert dict(out.coeffs) == {("y", 0): 1} and out.rhs == 1
+        with pytest.raises(KeyError):
+            system.row_by_tag(("proj", "b"))
 
     def test_unnormalized_rejected(self):
         b = CircuitBuilder(("a",))
@@ -230,6 +235,22 @@ class TestCertificates:
         c = normalize_for_extform(fig_ddnnf())
         with pytest.raises(ValueError):
             validate_certificate(c, frozenset({0}))
+
+    def test_point_needs_one_literal_per_variable(self, monkeypatch):
+        # Or(a) over (a, b) passes check_normalized but fixes no literal
+        # of b; a certificate that validate_certificate would refuse, with
+        # both literals of a, is caught again when its point is read
+        b = CircuitBuilder(("a", "b"))
+        c = b.finish(b.add_or((b.literal("a", True),), None))
+        [t] = enumerate_certificates(c, cap=10)
+        with pytest.raises(ValueError, match="certificate fixes no literal of 'b'"):
+            certificate_point(t, c)
+        import nnfopt.extform as ef
+        monkeypatch.setattr(ef, "validate_certificate", lambda circuit, t: None)
+        c = normalize_for_extform(fig_ddnnf())
+        lits = [nid for nid, kind in enumerate(c.columns[0]) if kind == "L"]
+        with pytest.raises(ValueError, match="two literals of 'x' in one certificate"):
+            certificate_point(frozenset({c.output, *lits}), c)
 
 
 class TestValidateCertificate:
@@ -415,6 +436,12 @@ class TestLpExport:
         text = to_lp_text(system, objective, sense="min")
         assert text.startswith("Minimize\n")
         assert text.replace("Minimize", "Maximize", 1) == to_lp_text(system, objective)
+
+    def test_system_without_columns_rejected(self):
+        b = CircuitBuilder(("a",))
+        system = build_system(normalize_for_extform(b.finish(b.false())), include_x=False)
+        with pytest.raises(ValueError, match="cannot export a system with no columns"):
+            to_lp_text(system, {})
 
     def test_unrepresentable_fraction_rejected(self):
         c = normalize_for_extform(fig_ddnnf())

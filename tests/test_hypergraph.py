@@ -20,6 +20,7 @@ from nnfopt import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
                     is_valid_elimination_order, lift_decomposition,
                     minfill_decomposition, order_from_decomposition,
                     parse_instance)
+from nnfopt.hypergraph import vertex_node
 
 
 def worked_hypergraph():
@@ -45,6 +46,19 @@ class TestHypergraphBasics:
             Hypergraph([1, 1, 2], [{1, 2}])
         with pytest.raises(TypeError):
             Hypergraph([[1]])
+
+    def test_graph_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loops are not supported"):
+            Graph().add_edge(1, 1)
+
+    @pytest.mark.parametrize("sigma, profit, message", [
+        (({1: 1, 2: 1},), (), "sigma and profit must have one entry per edge"),
+        (({1: 1},), (1,), "sigma of edge 0 must be defined exactly on its vertices"),
+        (({1: 1, 2: 2},), (1,), "polarities must be 0/1 bits"),
+    ])
+    def test_literal_instance_rules(self, sigma, profit, message):
+        with pytest.raises(ValueError, match=message):
+            LiteralInstance(Hypergraph([1, 2], [{1, 2}]), sigma, profit)
 
 
 class TestBetaAcyclicity:
@@ -235,6 +249,20 @@ class TestCycleDecomposition:
 
     def test_two_disjoint_edges(self):
         assert cycle_decomposition(Hypergraph([1, 2, 3, 4], [{1, 2}, {3, 4}])) is None
+
+    def test_path_and_two_cycles_are_not_one_cycle(self):
+        # the path's end edges meet one edge each; each triangle's edges
+        # meet two, but the walk closes after three of the six
+        assert cycle_decomposition(Hypergraph([1, 2, 3, 4], [{1, 2}, {2, 3}, {3, 4}])) is None
+        assert cycle_decomposition(Hypergraph(range(1, 7), [
+            {1, 2}, {2, 3}, {3, 1}, {4, 5}, {5, 6}, {6, 4}])) is None
+
+    def test_vertex_in_no_edge_hangs_on_bag_zero(self):
+        h = Hypergraph([1, 2, 3, 7], [{1, 2}, {2, 3}, {3, 1}])
+        td = cycle_decomposition(h)
+        td.validate(incidence_graph(h))
+        [bag] = [b for b, s in td.bags.items() if s == {vertex_node(7)}]
+        assert td.tree[bag] == {0}
 
     def test_large_edge_still_width_two(self):
         big = set(range(10, 20))
@@ -567,6 +595,10 @@ class TestTreeDecompositionValidation:
                 if seen != holding:
                     expect.add(v)
             assert td.disconnected() == expect
+
+    def test_tree_edge_to_an_unknown_bag_rejected(self):
+        with pytest.raises(ValueError, match="tree edge mentions unknown bag"):
+            TreeDecomposition({0: {1}, 1: {1}}, [(0, 1), (1, 2)])
 
     def test_tree_edge_from_a_bag_to_itself_rejected(self):
         # a loop would count as half an edge in a count of tree edges

@@ -214,6 +214,14 @@ class TestBruteForce:
         assert all(point.values())
         assert [v for _, v in brute_force(inst, None, 3)][0] == best
 
+    def test_feasible_points_only_past_the_first_chunk(self):
+        # 2^17 points are read in two chunks of 2^16; every vertex set
+        # means index 2^17 - 1, so the first chunk has no feasible point
+        from nnfopt import LiteralInstance
+        inst = LiteralInstance.plain(Hypergraph(range(1, 18), [{1, 2}, {3}]), [2, -1])
+        [(point, value)] = brute_force(inst, {17}, 2)
+        assert point == dict.fromkeys(range(1, 18), 1) and value == 1
+
     def test_non_integral_sums_rejected(self):
         # a truncated sum would admit the wrong bit counts
         with pytest.raises(ValueError, match="sum must be an integer"):

@@ -29,6 +29,12 @@ def compiled_worked():
     return compile_formula(encode_basic(worked_example()))
 
 
+def undecided_or():
+    """Or(x1, -x1) over (x1,) with no decision marker: not deterministic."""
+    b = CircuitBuilder((x(1),))
+    return b.finish(b.add_or((b.literal(x(1), True), b.literal(x(1), False))))
+
+
 def random_weights(rng, variables):
     return WeightFunction(
         variables,
@@ -63,6 +69,12 @@ class TestWeightsFromProfits:
         nonzero = [(v, b) for v in instance_variables(inst) for b in (0, 1)
                    if w.weight(v, b) != 0]
         assert nonzero == [(y(0), 1)]
+
+    def test_table_outside_the_universe_refused(self):
+        with pytest.raises(ValueError, match=r"weight on undeclared variable x2"):
+            WeightFunction((x(1),), {(x(2), 1): 1})
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            WeightFunction((x(1),), {(x(1), 2): 1})
 
 
 class TestOptimize:
@@ -101,6 +113,14 @@ class TestOptimize:
     def test_weight_universe_must_match(self):
         c = compiled_worked()
         with pytest.raises(ValueError, match="universe"):
+            optimize(c, WeightFunction((x(1),), {}))
+
+    def test_nondeterministic_circuit_refused(self):
+        # an Or without a decision marker; a foreign universe is named first
+        c = undecided_or()
+        with pytest.raises(ValueError, match="weight universe must match"):
+            optimize(c, WeightFunction((x(2),), {}))
+        with pytest.raises(ValueError, match="query needs a decomposable, deterministic circuit"):
             optimize(c, WeightFunction((x(1),), {}))
 
 
@@ -193,6 +213,15 @@ class TestTopK:
     def test_k_must_be_a_positive_int(self, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             top_k(compiled_worked(), weights_from_profits(worked_example()), k)
+
+    def test_checks_k_then_universe_then_structure(self):
+        c, foreign = undecided_or(), WeightFunction((x(2),), {})
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            top_k(c, foreign, 0)
+        with pytest.raises(ValueError, match="weight universe must match the circuit universe"):
+            top_k(c, foreign, 1)
+        with pytest.raises(ValueError, match="query needs a decomposable, deterministic circuit"):
+            top_k(c, WeightFunction((x(1),), {}), 1)
 
     @pytest.mark.parametrize("k", [2.5, "3", 0, -1, None])
     def test_brute_force_k_must_be_a_positive_int(self, k):
@@ -364,6 +393,63 @@ class TestTopKPinned:
     def test_top_k_pinned(self):
         # captured before top-k entries became single ints
         assert top_k_digest() == TOP_K_SHA256
+
+
+OPTIMIZE_SHA256 = "76ea8b797c2c09541a6a9d454804dfabf26bdc2099147db1d34fed17d0b0d78d"
+
+
+def optimize_digest() -> str:
+    """SHA-256 over optimize's (value, witness) pairs, each witness as its
+    bits in universe order: acceptance-corpus instances, LABS n=8..12,
+    compiled formulas and random non-smooth decision-DNNFs over bit orders
+    that permute the universe, under tie-heavy, negative and fractional
+    weights, and unsatisfiable circuits."""
+    digest = hashlib.sha256()
+
+    def pin(c, w):
+        opt = optimize(c, w)
+        bits = None if opt.witness is None else "".join(str(opt.witness[v]) for v in c.variables)
+        digest.update(repr((str(opt.value), bits)).encode())
+
+    rng = random.Random(20261021)
+    for _ in range(200):
+        inst = corpus_instance(rng)
+        pin(compile_instance(inst), weights_from_profits(inst))
+    for n in range(8, 13):
+        inst = parse_instance(gen_labs(n, 3)).instance
+        pin(compile_instance(inst), weights_from_profits(inst))
+    weights = (lambda: rng.choice((-1, 0, 0, 1)), lambda: rng.randint(-9, -1),
+               lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+    for _ in range(150):
+        universe = [f"z{i}" for i in range(rng.randint(1, 9))]
+        c = random_decision_dnnf(rng, universe)
+        rng.shuffle(universe)
+        c = NnfCircuit(tuple(universe), c.bit_variables, c.columns, c.output)
+        for draw in weights:
+            pin(c, WeightFunction(universe, {(v, bit): draw() for v in universe
+                                             for bit in (0, 1)}))
+    for _ in range(60):
+        f = random_formula(rng)
+        hint = list(f.variables)
+        rng.shuffle(hint)
+        c = compile_formula(f, CompileConfig(order_hint=hint))
+        for draw in weights:
+            pin(c, WeightFunction(c.variables, {(v, bit): draw() for v in c.variables
+                                                for bit in (0, 1)}))
+    universe = (x(1), x(2))
+    w = WeightFunction(universe, {(x(1), 1): 2, (x(2), 0): Fraction(-1, 2)})
+    b = CircuitBuilder(universe)
+    dead = b.add_and((b.literal(x(1), True), b.false()))
+    pin(b.finish(b.add_or((dead,), x(1))), w)
+    pin(compile_formula(CnfFormula(universe, [[(x(1), True), (x(2), True)], [(x(1), False)],
+                                              [(x(2), False)]])), w)
+    return digest.hexdigest()
+
+
+class TestOptimizePinned:
+    def test_optimize_pinned(self):
+        # captured before optimize's pass moved from completed weights to regrets
+        assert optimize_digest() == OPTIMIZE_SHA256
 
 
 class TestScalingInvariance:

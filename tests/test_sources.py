@@ -64,3 +64,12 @@ def test_cli_import_leaves_numpy_out():
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_oracle_imports_only_hypergraph():
+    # the brute-force oracle certifies the circuit side, so it must not
+    # load it: instances.py reads the package's hypergraph module alone
+    path = next(p for p in SOURCES if p.name == "instances.py")
+    found = {node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.level}
+    assert found == {"hypergraph"}

@@ -200,6 +200,16 @@ class TestKnapsackTransform:
         with pytest.raises(ValueError, match="interval"):
             knapsack_transform(compiled_worked(), {}, 2, 1)
 
+    def test_non_ddnnf_circuit_rejected(self):
+        # an Or without a decision marker is not deterministic
+        b = CircuitBuilder((x(1),))
+        c = b.finish(b.add_or((b.literal(x(1), True), b.literal(x(1), False))))
+        message = "transform needs a decomposable, deterministic circuit"
+        with pytest.raises(ValueError, match=message):
+            knapsack_transform(c, {x(1): 1}, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            restrict_cardinality(c, CardinalitySpec((x(1),), {1}))
+
 
 PINNED_TIE_BREAK_DIGEST = "05ffb8dc6f551cec59ea732d1a4c4e28de5745a35c3fe0d54f82e3f77084160a"
 
