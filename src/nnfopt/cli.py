@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional
 
 from .circuit import NnfCircuit, normalize_for_extform, to_nnf_text
-from .cnf import CnfVariable
+from .cnf import instance_layout
 from .compiler import CompileConfig, compile_formula, compile_instance, \
     encode_instance
 from .extform import build_system, decimal_places, to_lp_text
@@ -61,10 +61,10 @@ def _parse_knapsack(text: str, inst: LiteralInstance) -> tuple[dict, int, int]:
         raise ParseError(f"bad knapsack spec {text!r}") from exc
     if lower > upper:
         raise ParseError(f"empty knapsack interval {lower}:{upper}")
-    verts = inst.hypergraph.vertices
-    if len(coeffs) != len(verts):
-        raise ParseError(f"knapsack needs {len(verts)} coefficients, got {len(coeffs)}")
-    return {CnfVariable("x", v): c for v, c in zip(verts, coeffs)}, lower, upper
+    nv = len(inst.hypergraph.vertices)
+    if len(coeffs) != nv:
+        raise ParseError(f"knapsack needs {nv} coefficients, got {len(coeffs)}")
+    return dict(zip(instance_layout(inst).xs, coeffs)), lower, upper
 
 
 def _circuit(args, parsed: ParsedInstance) -> NnfCircuit:
@@ -75,8 +75,7 @@ def _circuit(args, parsed: ParsedInstance) -> NnfCircuit:
     knapsack = None if args.knapsack is None else _parse_knapsack(args.knapsack, inst)
     circuit = compile_instance(inst, args.encoding)
     if sums is not None:
-        x = tuple(CnfVariable("x", v) for v in inst.hypergraph.vertices)
-        circuit = restrict_cardinality(circuit, CardinalitySpec(x, sums))
+        circuit = restrict_cardinality(circuit, CardinalitySpec(instance_layout(inst).xs, sums))
     if knapsack is not None:
         circuit = knapsack_transform(circuit, *knapsack)
     return circuit
@@ -147,12 +146,10 @@ def _cmd_extform(args) -> int:
                 raise ParseError(f"profit {p} has no exact decimal form; "
                                  "pass --scale-objective to clear denominators")
     system = build_system(normalize_for_extform(_circuit(args, parsed)), include_x=True)
-    objective = {}
     factor = 1
     if args.scale_objective and inst.profit:
         factor = lcm(*(p.denominator for p in inst.profit))
-    for i, p in enumerate(inst.profit):
-        objective[("x", CnfVariable("y", i))] = p * factor
+    objective = {("x", y): p * factor for y, p in zip(instance_layout(inst).ys, inst.profit)}
     comment = (f"objective scaled by {factor}; " if factor != 1 else "") + \
         f"declared sense {parsed.sense}, constant offset {parsed.offset}"
     sys.stdout.write(to_lp_text(system, objective, sense="max", comment=comment))
@@ -194,17 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
     encoded = argparse.ArgumentParser(add_help=False, parents=[source])
     encoded.add_argument("--encoding", choices=("auto", "basic", "ordered"), default="auto")
 
+    def add_knapsack(p):
+        p.add_argument("--knapsack", metavar="L:U:COEFFS",
+                       help="integer knapsack constraint over all vertices; pass a "
+                            "negative lower bound as --knapsack=-3:...")
+
     p = sub.add_parser("solve", parents=[encoded], help="compile and optimize an instance")
     p.add_argument("--card-set", metavar="S", help="admissible bit counts, e.g. 0,2,4")
-    p.add_argument("--knapsack", metavar="L:U:COEFFS",
-                   help="integer knapsack constraint over all vertices; pass a "
-                        "negative lower bound as --knapsack=-3:...")
+    add_knapsack(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("topk", parents=[encoded], help="k best solutions")
     p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--card-set", metavar="S")
-    p.set_defaults(func=_cmd_topk, knapsack=None)
+    add_knapsack(p)
+    p.set_defaults(func=_cmd_topk)
 
     p = sub.add_parser("card", parents=[encoded],
                        help="optimize under a cardinality constraint")

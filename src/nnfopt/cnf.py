@@ -15,7 +15,7 @@ the basic encoding's.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .hypergraph import (Graph, Hypergraph, LiteralInstance, TreeDecomposition,
                          incidence_graph, vertex_node)
@@ -43,11 +43,59 @@ class CnfVariable(namedtuple("CnfVariable", "kind index")):
 Literal = tuple  # (CnfVariable, sign) with sign True for the positive literal
 
 
+class InstanceLayout(NamedTuple):
+    """An instance's variables and edge masks.
+
+    universe holds the vertex variables in declared vertex order, then the
+    edge variables by edge position; pos[i] and neg[i] mask the vertex
+    positions that edge i reads positively and negatively.
+    """
+
+    universe: tuple
+    pos: tuple
+    neg: tuple
+
+    @property
+    def xs(self) -> tuple:
+        """The vertex variables."""
+        return self.universe[:len(self.universe) - len(self.pos)]
+
+    @property
+    def ys(self) -> tuple:
+        """The edge variables."""
+        return self.universe[len(self.universe) - len(self.pos):]
+
+
+def instance_layout(inst: LiteralInstance) -> InstanceLayout:
+    """The layout of inst, computed on the first call and kept on the
+    instance, outside its dataclass fields, so that equality, hashing and
+    repr do not see it.  inst's sigma and profit must not be mutated
+    afterwards."""
+    got = inst.__dict__.get("_layout")
+    if got is None:
+        h = inst.hypergraph
+        pos, neg = [], []
+        for e, sigma in zip(h.edges, inst.sigma):
+            p = q = 0
+            for v in e:
+                bit = 1 << h.vertex_position(v)
+                if sigma[v]:
+                    p |= bit
+                else:
+                    q |= bit
+            pos.append(p)
+            neg.append(q)
+        universe = tuple(CnfVariable("x", v) for v in h.vertices) + tuple(
+            CnfVariable("y", i) for i in range(len(h.edges)))
+        got = inst.__dict__["_layout"] = InstanceLayout(universe, tuple(pos), tuple(neg))
+    return got
+
+
 def instance_variables(inst: LiteralInstance) -> tuple[CnfVariable, ...]:
-    """Variable universe in export order: vertex variables, then edge variables."""
-    h = inst.hypergraph
-    return tuple(CnfVariable("x", v) for v in h.vertices) + tuple(
-        CnfVariable("y", i) for i in range(len(h.edges)))
+    """Variable universe in export order: vertex variables, then edge
+    variables.  Read from instance_layout, so it is built once per
+    instance; inst's sigma and profit must not be mutated afterwards."""
+    return instance_layout(inst).universe
 
 
 class CnfFormula:
@@ -109,24 +157,26 @@ class CnfFormula:
 def _encode(inst: LiteralInstance, order: Sequence, telescoped: bool) -> CnfFormula:
     # Per edge, its vertices along `order`: a link clause -y | l_v for each
     # (with the later vertices' -l_w when telescoped), then y | -l_1 | ... | -l_k.
+    # The clauses share one (negative, positive) literal pair per variable.
     h = inst.hypergraph
     rank = {v: i for i, v in enumerate(order)}
     universe = instance_variables(inst)
-    x = dict(zip(h.vertices, universe))     # one variable per vertex, shared
+    lit = [((var, False), (var, True)) for var in universe]
+    x = dict(zip(h.vertices, lit))
     clauses = []
     tags = []
     for i, e in enumerate(h.edges):
-        ye = universe[len(x) + i]
+        yneg, ypos = lit[len(x) + i]
         sigma = inst.sigma[i]
         verts = sorted(e, key=rank.__getitem__)
-        fails = [(x[v], not sigma[v]) for v in verts]
+        fails = [x[v][not sigma[v]] for v in verts]
         for k, v in enumerate(verts):
-            link = [(ye, False), (x[v], bool(sigma[v]))]
+            link = [yneg, x[v][bool(sigma[v])]]
             if telescoped:
                 link += fails[k + 1:]
             clauses.append(link)
             tags.append(("L", i, v))
-        clauses.append([(ye, True)] + fails)
+        clauses.append([ypos] + fails)
         tags.append(("R", i))
     return CnfFormula(universe, clauses, tags)
 

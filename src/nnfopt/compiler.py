@@ -293,6 +293,14 @@ def compile_formula(f: CnfFormula, config: Optional[CompileConfig] = None) -> Nn
             i += 1
             if down:
                 dead = down & basic_bits
+                # A guard that cannot fire.  No plain clause names a gate's
+                # output, so a plain gate's output enters a1 in two ways
+                # only: a decision on it, which first refuses a false input
+                # and then sets every free input true, or the `done` step,
+                # once every input holds.  Inputs are plain variables, and
+                # every step assigns a plain variable only while it is free,
+                # so a true input is never assigned again, and no input of a
+                # gate in a1 can fail.
                 if dead & a1:
                     return _FAIL
                 a0 |= dead

@@ -123,6 +123,11 @@ class LiteralInstance:
     ``sigma[i][v]`` is 1 when edge i uses the plain variable for v and 0
     when it uses the complement 1-x(v).  A plain instance has every
     polarity equal to 1.
+
+    The instance's variable layout (cnf.instance_layout: its CNF variables
+    and per-edge literal masks) is computed on first use and kept on the
+    instance, outside the dataclass fields, so equality and repr do not
+    see it.  sigma and profit must therefore not be mutated afterwards.
     """
 
     hypergraph: Hypergraph

@@ -24,7 +24,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .circuit import OR, NnfCircuit, check_structure, evaluate, mask_bits, smooth_fold
-from .cnf import CnfVariable, instance_variables
+from .cnf import instance_layout
 from .hypergraph import LiteralInstance
 
 NEG_INF = float("-inf")
@@ -72,9 +72,9 @@ class WeightFunction:
 
 def weights_from_profits(inst: LiteralInstance) -> WeightFunction:
     """Edge variables earn their profit when set, everything else weighs 0."""
-    universe = instance_variables(inst)
-    table = {(CnfVariable("y", i), 1): p for i, p in enumerate(inst.profit)}
-    return WeightFunction(universe, table)
+    layout = instance_layout(inst)
+    table = {(y, 1): p for y, p in zip(layout.ys, inst.profit)}
+    return WeightFunction(layout.universe, table)
 
 
 @dataclass(frozen=True)
@@ -207,19 +207,22 @@ def optimize(c: NnfCircuit, w: WeightFunction) -> Optimum:
 
 def project_solution(tau: Mapping, inst: LiteralInstance) -> dict:
     """Vertex point of a multilinear-set model; the polynomial value at the
-    point equals the model's weight under weights_from_profits."""
-    h = inst.hypergraph
-    bits = {v: tau[CnfVariable("x", v)] for v in h.vertices}
-    for i, e in enumerate(h.edges):
-        prod = 1
-        for v in e:
-            bit = bits[v]
-            if (bit if inst.sigma[i][v] == 1 else 1 - bit) == 0:
-                prod = 0
-                break
-        if int(tau[CnfVariable("y", i)]) != prod:
+    point equals the model's weight under weights_from_profits.
+
+    The vertex bits are read once into an int over vertex positions, and
+    each edge variable is checked against its edge's two literal masks
+    (see instance_layout); the first edge whose variable is not the
+    product of its literals raises ValueError."""
+    layout = instance_layout(inst)
+    bits = [int(tau[x]) for x in layout.xs]
+    point = 0
+    for i, bit in enumerate(bits):
+        if bit:
+            point |= 1 << i
+    for i, (y, p, q) in enumerate(zip(layout.ys, layout.pos, layout.neg)):
+        if int(tau[y]) != ((point & p) == p and not point & q):
             raise ValueError(f"assignment is not in the multilinear set (edge {i})")
-    return {v: int(bit) for v, bit in bits.items()}
+    return dict(zip(inst.hypergraph.vertices, bits))
 
 
 def _kbest_sum(la: list, lb: list, k: int) -> list:
@@ -294,7 +297,11 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
             a ^= low
         acc = [key]
         for entries in lists:
-            acc = _kbest_sum(acc, entries, k)
+            if len(acc) == 1:
+                one = acc[0]
+                acc = [one + e for e in entries]
+            else:
+                acc = _kbest_sum(acc, entries, k)
         return acc
 
     out = smooth_fold(c, zip(count(), *c.columns), c.output,

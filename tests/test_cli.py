@@ -8,7 +8,9 @@ import pytest
 from corpus import WORKED_TEXT
 from nnfopt import cli
 from nnfopt.cli import main
-from nnfopt import from_nnf_text, gen_labs, parse_instance
+from nnfopt import (brute_force, compile_instance, from_nnf_text, gen_labs,
+                    instance_variables, knapsack_transform, parse_instance,
+                    project_solution, top_k, weights_from_profits)
 
 
 WORKED_NNF = """\
@@ -195,6 +197,33 @@ class TestTopk:
         assert code == 0
         code8, out8 = run(capsys, "topk", "--k", "8", "-", stdin=tri)
         assert code8 == 0 and out == out8 and len(out.splitlines()) == 8
+
+    def test_knapsack_empty_window_is_infeasible(self, capsys, example):
+        # every point weighs at most 6, so no point reaches the window
+        code, out = run(capsys, "topk", "--k", "3", "--knapsack", "100:100:1,1,1,1,1,1",
+                        example)
+        assert (code, out) == (0, "infeasible\n")
+
+    def test_knapsack_window_ranks_the_transformed_circuit(self, capsys, example):
+        coeffs, lower, upper = (1, 2, 1, 1, -1, 1), 2, 3
+        code, out = run(capsys, "topk", "--k", "4", "--knapsack",
+                        f"{lower}:{upper}:{','.join(map(str, coeffs))}", example)
+        assert code == 0
+        parsed = parse_instance(WORKED_TEXT)
+        inst = parsed.instance
+        verts = inst.hypergraph.vertices
+        x = instance_variables(inst)[:len(verts)]
+        c = knapsack_transform(compile_instance(inst), dict(zip(x, coeffs)), lower, upper)
+        ranked = [(project_solution(a, inst), value)
+                  for a, value in top_k(c, weights_from_profits(inst), 4)]
+        assert out == "".join(f"value {parsed.report_value(value)} point "
+                              + " ".join(f"v{v}={p[v]}" for v in sorted(p)) + "\n"
+                              for p, value in ranked)
+        # the oracle ranks every point alike, ties toward smaller points
+        inside = [(p, value) for p, value in brute_force(inst, None, 2 ** len(verts))
+                  if lower <= sum(a * p[v] for a, v in zip(coeffs, verts)) <= upper]
+        assert ranked == inside[:4]
+        assert out.startswith("value 4 ")   # the window cuts off the optimum 9
 
 
 class TestCompile:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import subprocess
 import sys
@@ -9,12 +10,13 @@ import pytest
 from corpus import (circuit_corpus, corpus_instance, worked_example, poly_points_sorted,
                     random_decision_dnnf, random_formula, random_instance,
                     variable_sets)
-from families import intervals
+from families import interval_instance, intervals
 from nnfopt import (NEG_INF, CardinalitySpec, CircuitBuilder, CompileConfig, NnfCircuit,
                     WeightFunction, brute_force, compile_formula, compile_instance, encode_basic,
                     enumerate_models, evaluate, gen_labs, optimize, parse_instance,
                     project_solution, restrict_cardinality, top_k, weights_from_profits)
-from nnfopt.cnf import CnfFormula, CnfVariable, instance_variables
+from nnfopt.cnf import CnfFormula, CnfVariable, instance_layout, instance_variables
+from projection_reference import project_solution_reference
 
 
 def x(v):
@@ -162,6 +164,77 @@ class TestProjectSolution:
         tau.update({y(i): 0 for i in range(3)})
         with pytest.raises(ValueError, match="multilinear"):
             project_solution(tau, inst)
+
+    def test_layout_kept_out_of_equality_and_repr(self):
+        inst = worked_example()
+        twin = type(inst)(inst.hypergraph, inst.sigma, inst.profit)
+        text = repr(inst)
+        assert instance_layout(inst).universe == instance_variables(twin)
+        assert "_layout" in vars(inst) and inst == twin and repr(inst) == text
+
+    def test_projection_builds_no_variables_after_the_first_answer(self, monkeypatch):
+        # an equal instance without a layout: the first answer builds it,
+        # the other nine read it
+        inst = intervals(40, 0)
+        best = top_k(compile_instance(inst), weights_from_profits(inst), 10)
+        fresh = intervals(40, 0)
+        built = []
+        new = CnfVariable.__new__
+
+        def counting(cls, kind, index):
+            built.append((kind, index))
+            return new(cls, kind, index)
+
+        monkeypatch.setattr(CnfVariable, "__new__", counting)
+        assert project_solution(best[0][0], fresh) == project_solution(best[0][0], inst)
+        assert len(built) == len(instance_variables(fresh)) == 40 + 80
+        del built[:]
+        points = [project_solution(a, fresh) for a, _ in best[1:]]
+        assert len(points) == 9 and built == []
+
+
+def projection_outcome(project, tau, inst):
+    """The point as (vertex, bit) pairs in order, or the ValueError's text."""
+    try:
+        return list(project(tau, inst).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestProjectionAgainstReference:
+    def test_every_assignment_of_small_instances(self):
+        rng = random.Random(71)
+        checked = rejected = 0
+        while checked < 40:
+            inst = corpus_instance(rng)
+            universe = instance_variables(inst)
+            if len(universe) > 12:
+                continue
+            checked += 1
+            for bits in itertools.product((0, 1), repeat=len(universe)):
+                tau = dict(zip(universe, bits))
+                want = projection_outcome(project_solution_reference, tau, inst)
+                assert projection_outcome(project_solution, tau, inst) == want
+                rejected += isinstance(want, str)
+        assert rejected > 0
+
+    def test_query_answers_and_their_one_bit_flips(self):
+        rng = random.Random(73)
+        answers = 0
+        for trial in range(200):
+            inst = corpus_instance(rng) if trial % 2 else interval_instance(rng)
+            c, w = compile_instance(inst), weights_from_profits(inst)
+            taus = [a for a, _ in top_k(c, w, 5)] + [optimize(c, w).witness]
+            for tau in taus:
+                flipped = dict(tau)
+                var = rng.choice(list(flipped))
+                flipped[var] = 1 - flipped[var]
+                for t in (tau, flipped):
+                    want = projection_outcome(project_solution_reference, t, inst)
+                    assert projection_outcome(project_solution, t, inst) == want
+                assert not isinstance(projection_outcome(project_solution, tau, inst), str)
+                answers += 1
+        assert answers >= 200
 
 
 class TestTopK:

@@ -68,9 +68,11 @@ def test_bench_topk_writes_and_merges(tmp_path):
     row = first["intervals n=12"]
     assert row["nodes"] > 0 and row["edges"] > 0
     assert set(row["seconds"]) == {"optimize", "top_k k=1", "top_k k=10", "top_k k=100"}
-    # sizes and answers repeat exactly from run to run
-    assert {k: {f: r[f] for f in ("nodes", "edges", "answers_sha256")} for k, r in first.items()} \
-        == {k: {f: r[f] for f in ("nodes", "edges", "answers_sha256")} for k, r in second.items()}
+    assert set(row["project_seconds"]) == {"k=1", "k=10", "k=100"}
+    # sizes, answers and their points repeat exactly from run to run
+    fields = ("nodes", "edges", "answers_sha256", "points_sha256")
+    assert {k: {f: r[f] for f in fields} for k, r in first.items()} \
+        == {k: {f: r[f] for f in fields} for k, r in second.items()}
 
 
 def test_bench_extform_writes_and_merges(tmp_path):
