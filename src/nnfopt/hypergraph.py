@@ -126,8 +126,8 @@ class LiteralInstance:
 
     The instance's variable layout (cnf.instance_layout: its CNF variables
     and per-edge literal masks) is computed on first use and kept on the
-    instance, outside the dataclass fields, so equality and repr do not
-    see it.  sigma and profit must therefore not be mutated afterwards.
+    instance, outside the dataclass fields, so equality, hashing and repr
+    do not see it.  sigma and profit must not be mutated afterwards.
     """
 
     hypergraph: Hypergraph

@@ -297,11 +297,7 @@ def top_k(c: NnfCircuit, w: WeightFunction, k: int) -> list[tuple[dict, Fraction
             a ^= low
         acc = [key]
         for entries in lists:
-            if len(acc) == 1:
-                one = acc[0]
-                acc = [one + e for e in entries]
-            else:
-                acc = _kbest_sum(acc, entries, k)
+            acc = _kbest_sum(acc, entries, k)
         return acc
 
     out = smooth_fold(c, zip(count(), *c.columns), c.output,
